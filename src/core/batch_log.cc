@@ -1,13 +1,13 @@
 #include "core/batch_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 
 #include "core/posting_codec.h"
@@ -33,9 +33,9 @@ constexpr uint64_t kFlagMaterialized = 1;
 // logs stay readable.
 constexpr uint64_t kFlagWords = 2;
 
-// Frames one record exactly as AppendRecord writes it: type byte, varint
-// payload length, payload, FNV-64 over (type, payload). TruncateTo uses
-// this to rebuild the log image offline.
+// Frames one record: type byte, varint payload length, payload, FNV-64
+// over (type, payload). AppendRecord and TruncateTo's rewrite both frame
+// through here.
 void AppendRecordBytes(char type, const std::string& payload,
                        std::string* out) {
   out->push_back(type);
@@ -129,51 +129,127 @@ Status DecodeBatchPayload(const std::string& payload,
   return Status::OK();
 }
 
+// pread until `len` bytes arrive; a short count means the file ended.
+Result<size_t> ReadAt(int fd, uint64_t offset, char* out, size_t len) {
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pread(fd, out + done, len - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("batch log read: ") +
+                             std::strerror(errno));
+    }
+    if (n == 0) break;
+    done += static_cast<size_t>(n);
+  }
+  return done;
+}
+
+// One record as framed on disk (see AppendRecordBytes).
+struct FramedRecord {
+  char type = 0;
+  std::string payload;
+  uint64_t length = 0;  // framing + payload + checksum
+  bool checksum_ok = false;
+};
+
+// Reads the record at `offset` of a file whose valid bytes end at
+// `limit`. OutOfRange when the record runs past `limit` (a torn tail
+// during Scan); `checksum_ok` reports the FNV-64 check.
+Status ReadFramed(int fd, uint64_t offset, uint64_t limit,
+                  FramedRecord* record) {
+  constexpr size_t kMaxHeader = 11;  // type byte + longest varint
+  char header[kMaxHeader] = {};
+  const size_t want =
+      static_cast<size_t>(std::min<uint64_t>(kMaxHeader, limit - offset));
+  Result<size_t> got = ReadAt(fd, offset, header, want);
+  if (!got.ok()) return got.status();
+  if (*got == 0) return Status::OutOfRange("batch log record truncated");
+  record->type = header[0];
+  size_t pos = 0;
+  Result<uint64_t> len = GetVarint64(
+      reinterpret_cast<const uint8_t*>(header) + 1, *got - 1, &pos);
+  if (!len.ok()) return Status::OutOfRange("batch log record truncated");
+  const uint64_t body = offset + 1 + pos;
+  if (limit - body < 8 || *len > limit - body - 8) {
+    return Status::OutOfRange("batch log record truncated");
+  }
+  // Payload and checksum in one read; the checksum is then cut off.
+  std::string& payload = record->payload;
+  payload.resize(*len + 8);
+  got = ReadAt(fd, body, payload.data(), payload.size());
+  if (!got.ok()) return got.status();
+  if (*got != payload.size()) {
+    return Status::OutOfRange("batch log record truncated");
+  }
+  uint64_t stored_checksum = 0;
+  std::memcpy(&stored_checksum, payload.data() + *len, 8);
+  payload.resize(*len);
+  record->length = 1 + pos + *len + 8;
+  record->checksum_ok =
+      stored_checksum ==
+      Fnv1a64(payload.data(), payload.size(), Fnv1a64(&record->type, 1));
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BatchLog>> BatchLog::Open(const std::string& path) {
   std::unique_ptr<BatchLog> log(new BatchLog(path));
+  DUPLEX_RETURN_IF_ERROR(log->OpenFiles());
   DUPLEX_RETURN_IF_ERROR(log->Scan());
-  log->file_ = std::fopen(path.c_str(), "ab");
-  if (log->file_ == nullptr) {
-    return Status::Internal("cannot open batch log " + path);
-  }
   return log;
 }
 
 BatchLog::~BatchLog() {
   if (file_ != nullptr) std::fclose(file_);
+  if (read_fd_ >= 0) ::close(read_fd_);
+}
+
+Status BatchLog::OpenFiles() {
+  if (file_ != nullptr) std::fclose(file_);
+  if (read_fd_ >= 0) ::close(read_fd_);
+  read_fd_ = -1;
+  file_ = std::fopen(path_.c_str(), "ab");
+  if (file_ == nullptr) {
+    return Status::Internal("cannot open batch log " + path_);
+  }
+  // Reads go through a descriptor held for the log's lifetime, so they
+  // see this log's file even if its path is later unlinked or reused.
+  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (read_fd_ < 0) {
+    return Status::IoError("open(" + path_ + "): " + std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 Status BatchLog::Scan() {
-  std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      contents.assign(std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>());
-    }
+  struct stat st {};
+  if (::fstat(read_fd_, &st) != 0) {
+    return Status::IoError("fstat(" + path_ + "): " + std::strerror(errno));
   }
-  size_t pos = 0;
-  size_t valid_end = 0;
-  while (pos < contents.size()) {
-    const size_t record_start = pos;
-    const char type = contents[pos++];
-    size_t len_pos = pos;
-    Result<uint64_t> len = GetVarint64(contents, &len_pos);
-    if (!len.ok()) break;  // torn tail
-    pos = len_pos;
-    if (pos + *len + 8 > contents.size()) break;  // torn tail
-    const std::string payload = contents.substr(pos, *len);
-    pos += *len;
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum, contents.data() + pos, 8);
-    pos += 8;
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  // Every record is decoded and checked here, once; only its place in the
+  // file is kept. Replays read the batch back when they need it.
+  Status status = Status::OK();
+  FramedRecord record;
+  uint64_t pos = 0;
+  while (pos < file_size) {
+    const uint64_t record_start = pos;
+    const Status read = ReadFramed(read_fd_, pos, file_size, &record);
+    if (read.code() == StatusCode::kOutOfRange) break;  // torn tail
+    if (!read.ok()) {
+      status = read;
+      break;
+    }
+    pos += record.length;
+    const std::string& payload = record.payload;
     // Damage in the FINAL record is a torn tail by another name — the
     // crash hit mid-append, the record was never durable, and recovery's
     // contract is to drop it (with a warning) and carry on. Damage with
     // intact records after it means the file rotted in place: fatal.
-    const bool is_final_record = pos == contents.size();
+    const bool is_final_record = pos == file_size;
     const auto tail_or_fatal = [&](Status damage) {
       if (!is_final_record) return damage;
       if (GlobalLog() != nullptr) {
@@ -188,47 +264,35 @@ Status BatchLog::Scan() {
       }
       return Status::OK();
     };
-    const uint64_t checksum =
-        Fnv1a64(payload.data(), payload.size(),
-                Fnv1a64(&type, 1));
-    if (checksum != stored_checksum) {
-      DUPLEX_RETURN_IF_ERROR(tail_or_fatal(Status::Corruption(
-          "batch log checksum mismatch at offset " +
-          std::to_string(record_start))));
-      break;
-    }
-    if (type == kBatchRecord) {
+    Status decoded = Status::OK();
+    if (!record.checksum_ok) {
+      decoded = Status::Corruption("batch log checksum mismatch at offset " +
+                                   std::to_string(record_start));
+    } else if (record.type == kBatchRecord) {
       LoggedBatch batch;
-      Status decoded = DecodeBatchPayload(payload, &batch);
-      if (decoded.ok() && batch.id != base_epoch_ + batches_.size()) {
+      decoded = DecodeBatchPayload(payload, &batch);
+      if (decoded.ok() && batch.id != base_epoch_ + records_.size()) {
         decoded = Status::Corruption("batch log ids out of sequence");
       }
-      if (!decoded.ok()) {
-        DUPLEX_RETURN_IF_ERROR(tail_or_fatal(std::move(decoded)));
-        break;
+      if (decoded.ok()) {
+        records_.push_back({batch.id, record_start, record.length, false});
       }
-      batches_.push_back(std::move(batch));
-      applied_.push_back(false);
-    } else if (type == kAppliedRecord) {
+    } else if (record.type == kAppliedRecord) {
       size_t id_pos = 0;
       Result<uint64_t> id = GetVarint64(payload, &id_pos);
-      Status decoded = id.ok() ? Status::OK() : id.status();
+      decoded = id.ok() ? Status::OK() : id.status();
       if (decoded.ok() &&
-          (*id < base_epoch_ || *id - base_epoch_ >= applied_.size())) {
+          (*id < base_epoch_ || *id - base_epoch_ >= records_.size())) {
         decoded = Status::Corruption("applied record for unknown batch");
       }
-      if (!decoded.ok()) {
-        DUPLEX_RETURN_IF_ERROR(tail_or_fatal(std::move(decoded)));
-        break;
-      }
-      if (!applied_[*id - base_epoch_]) {
-        applied_[*id - base_epoch_] = true;
+      if (decoded.ok() && !records_[*id - base_epoch_].applied) {
+        records_[*id - base_epoch_].applied = true;
         ++applied_count_;
       }
-    } else if (type == kEpochRecord) {
+    } else if (record.type == kEpochRecord) {
       size_t e_pos = 0;
       Result<uint64_t> base = GetVarint64(payload, &e_pos);
-      Status decoded = base.ok() ? Status::OK() : base.status();
+      decoded = base.ok() ? Status::OK() : base.status();
       if (decoded.ok() && e_pos != payload.size()) {
         decoded = Status::Corruption("epoch record has trailing bytes");
       }
@@ -237,16 +301,12 @@ Status BatchLog::Scan() {
         // anywhere but the head means the file was stitched together.
         decoded = Status::Corruption("epoch record not at log head");
       }
-      if (!decoded.ok()) {
-        DUPLEX_RETURN_IF_ERROR(tail_or_fatal(std::move(decoded)));
-        break;
-      }
-      base_epoch_ = *base;
-    } else if (type == kCompactionRecord) {
+      if (decoded.ok()) base_epoch_ = *base;
+    } else if (record.type == kCompactionRecord) {
       size_t c_pos = 0;
       LoggedCompaction compaction;
       Result<uint64_t> lists = GetVarint64(payload, &c_pos);
-      Status decoded = lists.ok() ? Status::OK() : lists.status();
+      decoded = lists.ok() ? Status::OK() : lists.status();
       if (decoded.ok()) {
         compaction.lists = *lists;
         Result<uint64_t> blocks = GetVarint64(payload, &c_pos);
@@ -263,23 +323,21 @@ Status BatchLog::Scan() {
           }
         }
       }
-      if (!decoded.ok()) {
-        DUPLEX_RETURN_IF_ERROR(tail_or_fatal(std::move(decoded)));
-        break;
-      }
-      compactions_.push_back(compaction);
+      if (decoded.ok()) compactions_.push_back(compaction);
     } else {
-      DUPLEX_RETURN_IF_ERROR(tail_or_fatal(
-          Status::Corruption("unknown batch-log record type")));
+      decoded = Status::Corruption("unknown batch-log record type");
+    }
+    if (!decoded.ok()) {
+      status = tail_or_fatal(std::move(decoded));
       break;
     }
-    valid_end = pos;
+    end_offset_ = pos;
   }
-  next_id_ = base_epoch_ + batches_.size();
-  if (valid_end < contents.size()) {
+  DUPLEX_RETURN_IF_ERROR(status);
+  next_id_ = base_epoch_ + records_.size();
+  if (end_offset_ < file_size) {
     // Drop the torn tail so the next append starts at a record boundary.
-    if (::truncate(path_.c_str(),
-                   static_cast<off_t>(valid_end)) != 0) {
+    if (::truncate(path_.c_str(), static_cast<off_t>(end_offset_)) != 0) {
       return Status::Internal("cannot truncate torn batch-log tail");
     }
   }
@@ -289,19 +347,20 @@ Status BatchLog::Scan() {
 Status BatchLog::AppendRecord(char type, const std::string& payload) {
   DUPLEX_CHECK(file_ != nullptr);
   ScopedLatency timer(m_append_ns_);
-  std::string record(1, type);
-  PutVarint64(payload.size(), &record);
-  record += payload;
-  const uint64_t checksum =
-      Fnv1a64(payload.data(), payload.size(), Fnv1a64(&type, 1));
-  record.append(reinterpret_cast<const char*>(&checksum), 8);
+  std::string record;
+  AppendRecordBytes(type, payload, &record);
   if (std::fwrite(record.data(), 1, record.size(), file_) !=
-      record.size()) {
+          record.size() ||
+      std::fflush(file_) != 0) {
+    // Some prefix of the record may have reached the file; resynchronise
+    // the append offset with what is actually there.
+    struct stat st {};
+    if (::fstat(::fileno(file_), &st) == 0) {
+      end_offset_ = static_cast<uint64_t>(st.st_size);
+    }
     return Status::Internal("batch log write failed");
   }
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("batch log flush failed");
-  }
+  end_offset_ += record.size();
   if (fail_next_syncs_ > 0) {
     // Injected durability failure: the bytes reached the kernel (fflush
     // succeeded) but the platter sync "failed". The record may or may not
@@ -327,80 +386,110 @@ Status BatchLog::AppendRecord(char type, const std::string& payload) {
   return Status::OK();
 }
 
-Result<uint64_t> BatchLog::AppendBatchRecord(const std::string& payload,
-                                             LoggedBatch batch) {
+Result<uint64_t> BatchLog::AppendBatchRecord(const std::string& payload) {
+  const uint64_t id = next_id_;
+  const uint64_t offset = end_offset_;
   const Status appended = AppendRecord(kBatchRecord, payload);
-  if (!appended.ok()) {
-    if (appended.IsIoError()) {
-      // The record bytes reached the kernel but the durability barrier
-      // failed: whether they survive a crash is unknowable here. Keep
-      // the batch as an unapplied entry — exactly what a reopen of this
-      // file would reconstruct — so later appends continue the dense id
-      // sequence instead of reusing this id and turning the next record
-      // into out-of-sequence damage that recovery would drop.
-      batches_.push_back(std::move(batch));
-      applied_.push_back(false);
-      ++next_id_;
-    }
-    return appended;
-  }
-  const uint64_t id = batch.id;
-  batches_.push_back(std::move(batch));
-  applied_.push_back(false);
+  if (!appended.ok() && !appended.IsIoError()) return appended;
+  // On IoError the record bytes reached the kernel but the durability
+  // barrier failed: whether they survive a crash is unknowable here. Keep
+  // the batch as an unapplied entry — exactly what a reopen of this file
+  // would reconstruct — so later appends continue the dense id sequence
+  // instead of reusing this id and turning the next record into
+  // out-of-sequence damage that recovery would drop.
+  records_.push_back({id, offset, end_offset_ - offset, false});
   ++next_id_;
+  if (!appended.ok()) return appended;
   return id;
 }
 
 Result<uint64_t> BatchLog::AppendBatch(const text::BatchUpdate& batch) {
-  LoggedBatch logged;
-  logged.id = next_id_;
-  logged.materialized = false;
-  logged.counts = batch;
   return AppendBatchRecord(
-      EncodeBatchPayload(next_id_, false, batch, {}, {}), std::move(logged));
+      EncodeBatchPayload(next_id_, false, batch, {}, {}));
 }
 
 Result<uint64_t> BatchLog::AppendBatch(const text::InvertedBatch& batch) {
   return AppendBatch(batch, {});
 }
 
-Result<uint64_t> BatchLog::AppendBatch(const text::InvertedBatch& batch,
-                                       std::vector<std::string> words) {
-  LoggedBatch logged;
-  logged.id = next_id_;
-  logged.materialized = true;
-  logged.counts = batch.ToBatchUpdate();
-  logged.docs = batch;
-  logged.words = std::move(words);
-  // Sequenced before the call: the LoggedBatch argument is constructed by
-  // move, and argument evaluation order is unspecified.
-  std::string payload =
-      EncodeBatchPayload(next_id_, true, logged.counts, batch, logged.words);
-  return AppendBatchRecord(std::move(payload), std::move(logged));
+Result<uint64_t> BatchLog::AppendBatch(
+    const text::InvertedBatch& batch, const std::vector<std::string>& words) {
+  return AppendBatchRecord(
+      EncodeBatchPayload(next_id_, true, {}, batch, words));
 }
 
 Status BatchLog::MarkApplied(uint64_t batch_id) {
   if (batch_id < base_epoch_ ||
-      batch_id - base_epoch_ >= batches_.size()) {
+      batch_id - base_epoch_ >= records_.size()) {
     return Status::InvalidArgument("unknown batch id");
   }
-  const size_t idx = batch_id - base_epoch_;
-  if (applied_[idx]) return Status::OK();
+  Record& record = records_[batch_id - base_epoch_];
+  if (record.applied) return Status::OK();
   std::string payload;
   PutVarint64(batch_id, &payload);
   DUPLEX_RETURN_IF_ERROR(AppendRecord(kAppliedRecord, payload));
-  applied_[idx] = true;
+  record.applied = true;
   ++applied_count_;
   return Status::OK();
 }
 
-std::vector<const BatchLog::LoggedBatch*> BatchLog::UnappliedBatches()
-    const {
-  std::vector<const LoggedBatch*> result;
-  for (size_t i = 0; i < batches_.size(); ++i) {
-    if (!applied_[i]) result.push_back(&batches_[i]);
+std::vector<uint64_t> BatchLog::UnappliedBatches() const {
+  std::vector<uint64_t> ids;
+  for (const Record& record : records_) {
+    if (!record.applied) ids.push_back(record.id);
   }
-  return result;
+  return ids;
+}
+
+Status BatchLog::ReadPayload(const Record& record,
+                             std::string* payload) const {
+  FramedRecord framed;
+  Status read = ReadFramed(read_fd_, record.offset,
+                           record.offset + record.length, &framed);
+  if (read.ok() && (!framed.checksum_ok || framed.type != kBatchRecord ||
+                    framed.length != record.length)) {
+    read = Status::Corruption("checksum mismatch");
+  }
+  if (read.IsIoError()) return read;
+  if (!read.ok()) {
+    // Open verified this record, so a mismatch now means the file changed
+    // underneath the log.
+    return Status::Corruption("batch log record for batch " +
+                              std::to_string(record.id) + " at offset " +
+                              std::to_string(record.offset) +
+                              " is damaged on disk: " + read.message());
+  }
+  *payload = std::move(framed.payload);
+  return Status::OK();
+}
+
+Status BatchLog::ReadBatch(const Record& record, std::string* scratch,
+                           LoggedBatch* batch) const {
+  DUPLEX_RETURN_IF_ERROR(ReadPayload(record, scratch));
+  *batch = LoggedBatch{};
+  Status decoded = DecodeBatchPayload(*scratch, batch);
+  if (decoded.ok() && batch->id != record.id) {
+    decoded = Status::Corruption("carries batch id " +
+                                 std::to_string(batch->id));
+  }
+  if (decoded.ok()) return decoded;
+  return Status::Corruption("batch log record for batch " +
+                            std::to_string(record.id) + " at offset " +
+                            std::to_string(record.offset) +
+                            " does not decode: " + decoded.message());
+}
+
+Status BatchLog::ForEachBatch(
+    uint64_t from_id,
+    const std::function<Status(const LoggedBatch&)>& fn) const {
+  const uint64_t first = std::max(from_id, base_epoch_) - base_epoch_;
+  std::string scratch;
+  LoggedBatch batch;
+  for (size_t i = first; i < records_.size(); ++i) {
+    DUPLEX_RETURN_IF_ERROR(ReadBatch(records_[i], &scratch, &batch));
+    DUPLEX_RETURN_IF_ERROR(fn(batch));
+  }
+  return Status::OK();
 }
 
 Status BatchLog::ApplyLogged(InvertedIndex* index,
@@ -451,9 +540,15 @@ Status BatchLog::RecoverInto(InvertedIndex* index) {
   DUPLEX_CHECK(index != nullptr);
   ScopedLatency timer(m_replay_ns_);
   Span span = TraceSpan("core.wal_recover");
-  for (const LoggedBatch* batch : UnappliedBatches()) {
-    DUPLEX_RETURN_IF_ERROR(ApplyOne(index, *batch));
-    DUPLEX_RETURN_IF_ERROR(MarkApplied(batch->id));
+  std::string scratch;
+  LoggedBatch batch;
+  // MarkApplied appends to the file but never moves a record, so the
+  // index stays valid while the loop commits what it replays.
+  for (const Record& record : records_) {
+    if (record.applied) continue;
+    DUPLEX_RETURN_IF_ERROR(ReadBatch(record, &scratch, &batch));
+    DUPLEX_RETURN_IF_ERROR(ApplyOne(index, batch));
+    DUPLEX_RETURN_IF_ERROR(MarkApplied(batch.id));
   }
   return Status::OK();
 }
@@ -472,13 +567,10 @@ Status BatchLog::ReplayInto(InvertedIndex* index) {
   // freshly constructed (empty) index, so replaying the full history is
   // idempotent by construction — there is no partially-applied device
   // state to double-count, whatever the crashed instance managed to write.
-  for (const LoggedBatch& batch : batches_) {
-    DUPLEX_RETURN_IF_ERROR(ApplyOne(index, batch));
-  }
-  for (size_t i = 0; i < batches_.size(); ++i) {
-    if (!applied_[i]) DUPLEX_RETURN_IF_ERROR(MarkApplied(batches_[i].id));
-  }
-  return Status::OK();
+  DUPLEX_RETURN_IF_ERROR(ForEachBatch(0, [index](const LoggedBatch& batch) {
+    return ApplyOne(index, batch);
+  }));
+  return MarkAppliedFrom(0);
 }
 
 Status BatchLog::ReplayFrom(
@@ -491,22 +583,23 @@ Status BatchLog::ReplayFrom(
   }
   ScopedLatency timer(m_replay_ns_);
   Span span = TraceSpan("core.wal_replay_tail");
-  for (size_t i = 0; i < batches_.size(); ++i) {
-    if (batches_[i].id < epoch) {
-      if (!applied_[i]) {
-        return Status::Corruption(
-            "batch " + std::to_string(batches_[i].id) +
-            " is unapplied but below replay epoch " +
-            std::to_string(epoch) +
-            "; the checkpoint claims coverage the log contradicts");
-      }
-      continue;
+  for (const Record& record : records_) {
+    if (record.id >= epoch) break;
+    if (!record.applied) {
+      return Status::Corruption(
+          "batch " + std::to_string(record.id) +
+          " is unapplied but below replay epoch " + std::to_string(epoch) +
+          "; the checkpoint claims coverage the log contradicts");
     }
-    DUPLEX_RETURN_IF_ERROR(apply(batches_[i]));
   }
-  for (size_t i = 0; i < batches_.size(); ++i) {
-    if (batches_[i].id >= epoch && !applied_[i]) {
-      DUPLEX_RETURN_IF_ERROR(MarkApplied(batches_[i].id));
+  DUPLEX_RETURN_IF_ERROR(ForEachBatch(epoch, apply));
+  return MarkAppliedFrom(epoch);
+}
+
+Status BatchLog::MarkAppliedFrom(uint64_t epoch) {
+  for (const Record& record : records_) {
+    if (record.id >= epoch && !record.applied) {
+      DUPLEX_RETURN_IF_ERROR(MarkApplied(record.id));
     }
   }
   return Status::OK();
@@ -544,33 +637,36 @@ Status BatchLog::TruncateTo(uint64_t new_base) {
   }
   const size_t keep_from = new_base - base_epoch_;
   for (size_t i = 0; i < keep_from; ++i) {
-    if (!applied_[i]) {
+    if (!records_[i].applied) {
       return Status::FailedPrecondition(
-          "batch " + std::to_string(base_epoch_ + i) +
+          "batch " + std::to_string(records_[i].id) +
           " is not applied; a checkpoint cannot cover uncommitted work");
     }
   }
   // Build the replacement log image: epoch base record, then the
   // surviving tail's batch records, then commit records for the applied
   // ones. Compaction records describe pre-checkpoint reclamation and are
-  // dropped with the prefix.
+  // dropped with the prefix. Each batch record's payload is copied
+  // verbatim (checksum re-verified on the way), so the framed bytes are
+  // the ones appended originally.
   std::string image;
   {
     std::string payload;
     PutVarint64(new_base, &payload);
     AppendRecordBytes(kEpochRecord, payload, &image);
   }
-  for (size_t i = keep_from; i < batches_.size(); ++i) {
-    const LoggedBatch& b = batches_[i];
-    AppendRecordBytes(
-        kBatchRecord,
-        EncodeBatchPayload(b.id, b.materialized, b.counts, b.docs, b.words),
-        &image);
+  std::vector<uint64_t> tail_offsets;
+  tail_offsets.reserve(records_.size() - keep_from);
+  std::string payload;
+  for (size_t i = keep_from; i < records_.size(); ++i) {
+    DUPLEX_RETURN_IF_ERROR(ReadPayload(records_[i], &payload));
+    tail_offsets.push_back(image.size());
+    AppendRecordBytes(kBatchRecord, payload, &image);
   }
-  for (size_t i = keep_from; i < batches_.size(); ++i) {
-    if (!applied_[i]) continue;
+  for (size_t i = keep_from; i < records_.size(); ++i) {
+    if (!records_[i].applied) continue;
     std::string payload;
-    PutVarint64(batches_[i].id, &payload);
+    PutVarint64(records_[i].id, &payload);
     AppendRecordBytes(kAppliedRecord, payload, &image);
   }
   // Write the image to <path>.tmp (fault-aware, chunked), sync it, then
@@ -608,50 +704,37 @@ Status BatchLog::TruncateTo(uint64_t new_base) {
     ::unlink(tmp.c_str());
     return s;
   }
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
   if (::rename(tmp.c_str(), path_.c_str()) != 0) {
     const Status rename_status = Status::IoError(
         "rename(" + tmp + ", " + path_ + "): " + std::strerror(errno));
     ::unlink(tmp.c_str());
-    file_ = std::fopen(path_.c_str(), "ab");
     return rename_status;
   }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot reopen batch log after truncation");
-  }
-  batches_.erase(batches_.begin(),
-                 batches_.begin() + static_cast<ptrdiff_t>(keep_from));
-  applied_.erase(applied_.begin(),
-                 applied_.begin() + static_cast<ptrdiff_t>(keep_from));
-  compactions_.clear();
+  DUPLEX_RETURN_IF_ERROR(OpenFiles());
+  records_.erase(records_.begin(),
+                 records_.begin() + static_cast<ptrdiff_t>(keep_from));
   applied_count_ = 0;
-  for (const bool a : applied_) applied_count_ += a ? 1 : 0;
+  for (size_t i = 0; i < records_.size(); ++i) {
+    records_[i].offset = tail_offsets[i];
+    applied_count_ += records_[i].applied ? 1 : 0;
+  }
+  compactions_.clear();
   base_epoch_ = new_base;
+  end_offset_ = image.size();
   return Status::OK();
 }
 
 Status BatchLog::Truncate() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
   if (::truncate(path_.c_str(), 0) != 0) {
     return Status::Internal("cannot truncate batch log");
   }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot reopen batch log");
-  }
-  batches_.clear();
-  applied_.clear();
+  DUPLEX_RETURN_IF_ERROR(OpenFiles());
+  records_.clear();
   compactions_.clear();
   applied_count_ = 0;
   next_id_ = 0;
   base_epoch_ = 0;
+  end_offset_ = 0;
   return Status::OK();
 }
 

@@ -23,11 +23,18 @@ namespace duplex::core {
 //   2. index.ApplyBatchUpdate(batch)   -- buckets/directory flushed after
 //   3. log.MarkApplied(batch_id)       -- commit record
 //
-// After a crash, UnappliedBatches() returns the batches whose apply never
-// committed; replaying them (plus a Snapshot of the pre-crash index, if
-// any) reconstructs the index. Records carry an FNV-64 checksum; a torn
-// tail (partial final record) is detected and ignored, matching the usual
-// WAL recovery contract.
+// After a crash, RecoverInto replays the batches whose apply never
+// committed (UnappliedBatches() names them); a full rebuild (ReplayInto)
+// or a checkpoint plus its tail (ReplayFrom) reconstructs the index from
+// scratch. Records carry an FNV-64 checksum; a torn tail (partial final
+// record) is detected and ignored, matching the usual WAL recovery
+// contract.
+//
+// The batches themselves live only in the file. Open decodes and checks
+// every record once, then keeps a per-record index (id, file offset,
+// length, applied) in memory; every replay reads its batches back one
+// record at a time and re-verifies each checksum, so a record damaged on
+// disk after Open surfaces as a typed Corruption, never as wrong postings.
 //
 // Batch ids are GLOBAL and monotonic for the life of the index, even
 // across tail truncation: after a durable checkpoint covering batches
@@ -37,12 +44,12 @@ namespace duplex::core {
 // the log; ReplayFrom(epoch, ...) is the checkpoint-tail recovery path.
 class BatchLog {
  public:
-  // One logged batch; `counts` is always populated, `docs` only when the
-  // batch was materialized. `words` (parallel to `docs.entries`, possibly
-  // empty — the caller may not track strings, and older records never
-  // carried them) holds the word string of each entry so a replay into a
-  // fresh index can reinstate the vocabulary at the recorded ids, not
-  // just the postings.
+  // One logged batch as read back from the file; `counts` is always
+  // populated, `docs` only when the batch was materialized. `words`
+  // (parallel to `docs.entries`, possibly empty — the caller may not
+  // track strings, and older records never carried them) holds the word
+  // string of each entry so a replay into a fresh index can reinstate the
+  // vocabulary at the recorded ids, not just the postings.
   struct LoggedBatch {
     uint64_t id = 0;
     bool materialized = false;
@@ -83,7 +90,7 @@ class BatchLog {
   // the record self-contained: a full rebuild restores string-keyed
   // queries, not only WordId-keyed postings.
   Result<uint64_t> AppendBatch(const text::InvertedBatch& batch,
-                               std::vector<std::string> words);
+                               const std::vector<std::string>& words);
 
   // Appends the commit record for `batch_id`.
   Status MarkApplied(uint64_t batch_id);
@@ -118,8 +125,17 @@ class BatchLog {
   // recovery errs toward replaying the possibly-durable record.
   void set_fail_next_syncs(uint64_t n) { fail_next_syncs_ = n; }
 
-  // Batches appended but never marked applied, in append order.
-  std::vector<const LoggedBatch*> UnappliedBatches() const;
+  // Ids of the batches appended but never marked applied, in append
+  // order.
+  std::vector<uint64_t> UnappliedBatches() const;
+
+  // Reads every retained batch with id >= from_id back from the file, in
+  // id order, and hands each to `fn`. Stops at the first non-OK status
+  // `fn` returns and returns it. A record whose bytes no longer match
+  // their checksum is a typed Corruption; `fn` never sees it.
+  Status ForEachBatch(
+      uint64_t from_id,
+      const std::function<Status(const LoggedBatch&)>& fn) const;
 
   // Replays every unapplied batch into `index` and marks it applied.
   Status RecoverInto(InvertedIndex* index);
@@ -149,7 +165,8 @@ class BatchLog {
 
   // Drops every record for batches with id < new_base (all of which must
   // be applied — a checkpoint can only cover committed work) by
-  // rewriting the file as an 'E' base record plus the surviving tail,
+  // rewriting the file as an 'E' base record, the surviving tail's batch
+  // records copied byte for byte, and their commit records,
   // atomically: the rewrite goes to <path>.tmp, is synced, and renames
   // over the log, so a crash anywhere leaves either the old or the new
   // log, never a hybrid. Compaction 'C' records describe pre-checkpoint
@@ -167,8 +184,11 @@ class BatchLog {
     fault_ = std::move(schedule);
   }
 
-  uint64_t batches_logged() const { return batches_.size(); }
+  uint64_t batches_logged() const { return records_.size(); }
   uint64_t batches_applied() const { return applied_count_; }
+  uint64_t batches_unapplied() const {
+    return records_.size() - applied_count_;
+  }
   // Id of the oldest batch still in the log (0 until a TruncateTo).
   uint64_t base_epoch() const { return base_epoch_; }
   // Id the next appended batch will get: base_epoch() + batches_logged().
@@ -177,10 +197,6 @@ class BatchLog {
   const LoggedCompaction& compaction(uint64_t i) const {
     return compactions_[i];
   }
-  // Logged batch `i` of the RETAINED window, in append order
-  // (i < batches_logged(); its id is base_epoch() + i). Scrub walks this
-  // window to reconstruct a damaged list's postings.
-  const LoggedBatch& batch(uint64_t i) const { return batches_[i]; }
   const std::string& path() const { return path_; }
 
  private:
@@ -194,23 +210,43 @@ class BatchLog {
                                  "Batch-log recovery/replay wall-clock");
   }
 
+  // Where one batch record sits in the file: `length` bytes from
+  // `offset`, framing and checksum included.
+  struct Record {
+    uint64_t id = 0;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    bool applied = false;
+  };
+
   Status Scan();
   Status AppendRecord(char type, const std::string& payload);
-  Result<uint64_t> AppendBatchRecord(const std::string& payload,
-                                     LoggedBatch batch);
+  // Commits every still-unapplied batch with id >= epoch.
+  Status MarkAppliedFrom(uint64_t epoch);
+  Result<uint64_t> AppendBatchRecord(const std::string& payload);
+  // (Re)opens the append stream and the read descriptor on path_.
+  Status OpenFiles();
+  // Reads `record`'s payload back from the file, re-verifying its framing
+  // and checksum; damage is a typed Corruption.
+  Status ReadPayload(const Record& record, std::string* payload) const;
+  // ReadPayload (into *scratch), then decode into *batch.
+  Status ReadBatch(const Record& record, std::string* scratch,
+                   LoggedBatch* batch) const;
   static Status ApplyOne(InvertedIndex* index, const LoggedBatch& batch);
 
   std::string path_;
   std::FILE* file_ = nullptr;
+  int read_fd_ = -1;
   bool fsync_enabled_ = true;
   uint64_t syncs_ = 0;
   uint64_t fail_next_syncs_ = 0;
   uint64_t base_epoch_ = 0;
   uint64_t next_id_ = 0;
   uint64_t applied_count_ = 0;
+  // Bytes in the file: where the next record lands.
+  uint64_t end_offset_ = 0;
   std::shared_ptr<storage::FaultSchedule> fault_;
-  std::vector<LoggedBatch> batches_;
-  std::vector<bool> applied_;
+  std::vector<Record> records_;
   std::vector<LoggedCompaction> compactions_;
   LatencyHistogram* m_append_ns_ = nullptr;
   LatencyHistogram* m_fsync_ns_ = nullptr;

@@ -550,7 +550,7 @@ Result<CheckpointInfo> Checkpointer::Checkpoint(const InvertedIndex& index,
                                                 BatchLog* log) {
   uint64_t epoch = 0;
   if (log != nullptr) {
-    if (!log->UnappliedBatches().empty()) {
+    if (log->batches_unapplied() != 0) {
       return Status::FailedPrecondition(
           "cannot checkpoint with unapplied WAL batches: a checkpoint "
           "covers only committed work");
@@ -573,7 +573,7 @@ Result<CheckpointInfo> Checkpointer::Checkpoint(const ShardedIndex& index,
       [&](const ShardedIndex::CheckpointView& view) -> Status {
         uint64_t epoch = 0;
         if (log != nullptr) {
-          if (!log->UnappliedBatches().empty()) {
+          if (log->batches_unapplied() != 0) {
             return Status::FailedPrecondition(
                 "cannot checkpoint with unapplied WAL batches: a "
                 "checkpoint covers only committed work");

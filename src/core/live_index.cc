@@ -325,7 +325,7 @@ LiveIndex::WalStatus LiveIndex::GetWalStatus() const {
     status.tail_batches = wal_->batches_logged();
     status.base_epoch = wal_->base_epoch();
     status.next_id = wal_->next_id();
-    status.unapplied = wal_->UnappliedBatches().size();
+    status.unapplied = wal_->batches_unapplied();
   }
   return status;
 }

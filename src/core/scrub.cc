@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/directory.h"
 #include "core/long_list_store.h"
@@ -12,20 +13,23 @@
 namespace duplex::core {
 namespace {
 
-// All postings the WAL has ever logged for each word, in append order.
-// Only materialized batch records contribute; the result is the word's
-// full flushed history when the log covers the index's lifetime.
-std::unordered_map<WordId, std::vector<DocId>> AccumulateWalPostings(
-    const BatchLog& wal) {
+// All postings the WAL has logged for each of `words`, in append order,
+// read back one record at a time. Only materialized batch records
+// contribute; the result is a word's full flushed history when the log
+// covers the index's lifetime.
+Result<std::unordered_map<WordId, std::vector<DocId>>> AccumulateWalPostings(
+    const BatchLog& wal, const std::vector<WordId>& words) {
+  const std::unordered_set<WordId> wanted(words.begin(), words.end());
   std::unordered_map<WordId, std::vector<DocId>> postings;
-  for (uint64_t i = 0; i < wal.batches_logged(); ++i) {
-    const BatchLog::LoggedBatch& batch = wal.batch(i);
-    if (!batch.materialized) continue;
-    for (const auto& entry : batch.docs.entries) {
-      auto& docs = postings[entry.word];
-      docs.insert(docs.end(), entry.docs.begin(), entry.docs.end());
-    }
-  }
+  DUPLEX_RETURN_IF_ERROR(wal.ForEachBatch(
+      wal.base_epoch(), [&](const BatchLog::LoggedBatch& batch) {
+        for (const auto& entry : batch.docs.entries) {
+          if (wanted.count(entry.word) == 0) continue;
+          auto& docs = postings[entry.word];
+          docs.insert(docs.end(), entry.docs.begin(), entry.docs.end());
+        }
+        return Status::OK();
+      }));
   return postings;
 }
 
@@ -98,7 +102,10 @@ Result<ScrubReport> ScrubIndex(InvertedIndex* index, BatchLog* wal,
 
   std::unordered_map<WordId, std::vector<DocId>> wal_postings;
   if (options.repair && wal != nullptr && !damaged.empty()) {
-    wal_postings = AccumulateWalPostings(*wal);
+    Result<std::unordered_map<WordId, std::vector<DocId>>> logged =
+        AccumulateWalPostings(*wal, damaged);
+    if (!logged.ok()) return logged.status();
+    wal_postings = std::move(*logged);
   }
   std::vector<WordId> rewritten;
   for (const WordId word : damaged) {

@@ -28,7 +28,9 @@ namespace duplex::core {
 // postings for the word account for exactly the directory's posting total,
 // the list is rewritten from the WAL through the normal write path (fresh
 // chunks, fresh checksums) and re-verified. Words the WAL cannot fully
-// reconstruct stay quarantined for a snapshot-based restore.
+// reconstruct stay quarantined for a snapshot-based restore. Repair reads
+// the WAL back one record at a time; a record damaged on disk fails the
+// scrub with Corruption rather than feeding it wrong postings.
 struct ScrubOptions {
   // Attempt WAL-based repair of quarantined words (needs `wal`).
   bool repair = true;

@@ -155,7 +155,7 @@ Status ShardedIndex::FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id) {
     for (const text::InvertedBatch::Entry& entry : batch.entries) {
       words.push_back(vocabulary_.WordFor(entry.word));
     }
-    Result<uint64_t> appended = log->AppendBatch(batch, std::move(words));
+    Result<uint64_t> appended = log->AppendBatch(batch, words);
     if (!appended.ok()) return appended.status();
     logged_id = *appended;
   }

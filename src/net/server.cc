@@ -43,8 +43,6 @@ Server::Server(IndexService* service, ServerOptions options)
       GlobalCounter("duplex_net_bytes_total", "Socket bytes", "dir=\"out\"");
   m_inflight_ = GlobalGauge("duplex_net_inflight",
                             "Requests admitted but not yet answered");
-  m_open_conns_ = GlobalGauge("duplex_net_open_connections",
-                              "Currently open client connections");
   m_queue_depth_ = GlobalGauge("duplex_net_queue_depth",
                                "Worker-queue depth sampled at admission");
   m_connections_gauge_ = GlobalGauge(
@@ -125,7 +123,6 @@ void Server::Stop() {
 
   running_.store(false, std::memory_order_release);
   if (m_inflight_ != nullptr) m_inflight_->Set(0);
-  if (m_open_conns_ != nullptr) m_open_conns_->Set(0);
   if (m_queue_depth_ != nullptr) m_queue_depth_->Set(0);
   if (m_connections_gauge_ != nullptr) m_connections_gauge_->Set(0);
   LogInfo("net.server.stop")
@@ -158,9 +155,6 @@ void Server::AcceptLoop() {
     if (m_connections_ != nullptr) m_connections_->Inc();
     const int64_t open =
         open_conns_now_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (m_open_conns_ != nullptr) {
-      m_open_conns_->Set(static_cast<double>(open));
-    }
     if (m_connections_gauge_ != nullptr) {
       m_connections_gauge_->Set(static_cast<double>(open));
     }
@@ -169,9 +163,6 @@ void Server::AcceptLoop() {
       conn->reader_done.store(true, std::memory_order_release);
       const int64_t now_open =
           open_conns_now_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      if (m_open_conns_ != nullptr) {
-        m_open_conns_->Set(static_cast<double>(now_open));
-      }
       if (m_connections_gauge_ != nullptr) {
         m_connections_gauge_->Set(static_cast<double>(now_open));
       }

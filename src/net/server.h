@@ -167,7 +167,6 @@ class Server {
   Counter* m_bytes_in_ = nullptr;
   Counter* m_bytes_out_ = nullptr;
   Gauge* m_inflight_ = nullptr;
-  Gauge* m_open_conns_ = nullptr;
   // Admin-plane gauges sampled on admission / connection close.
   Gauge* m_queue_depth_ = nullptr;
   Gauge* m_connections_gauge_ = nullptr;

@@ -27,8 +27,18 @@ Status MemBlockDevice::Write(BlockId start, uint64_t byte_offset,
     const uint64_t in_blk = pos % block_size_;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(block_size_ - in_blk, len - written));
-    auto& bytes = blocks_[blk];
-    if (bytes.empty()) bytes.assign(block_size_, 0);
+    std::vector<uint8_t>& bytes = blocks_[blk];
+    const uint64_t extent = in_blk + n;
+    if (bytes.size() < extent) {
+      if (bytes.capacity() < extent) {
+        // Double like a vector would, but never past one block.
+        const size_t old_capacity = bytes.capacity();
+        bytes.reserve(static_cast<size_t>(std::min<uint64_t>(
+            block_size_, std::max<uint64_t>(extent, 2 * old_capacity))));
+        resident_bytes_ += bytes.capacity() - old_capacity;
+      }
+      bytes.resize(static_cast<size_t>(extent), 0);
+    }
     std::memcpy(bytes.data() + in_blk, data + written, n);
     pos += n;
     written += n;
@@ -50,16 +60,28 @@ Status MemBlockDevice::Read(BlockId start, uint64_t byte_offset, uint8_t* out,
     const uint64_t in_blk = pos % block_size_;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(block_size_ - in_blk, len - done));
-    auto it = blocks_.find(blk);
-    if (it == blocks_.end()) {
-      std::memset(out + done, 0, n);
-    } else {
-      std::memcpy(out + done, it->second.data() + in_blk, n);
+    // Bytes past the block's written extent read as zeros.
+    const auto it = blocks_.find(blk);
+    const uint64_t extent = it == blocks_.end() ? 0 : it->second.size();
+    const size_t stored = static_cast<size_t>(
+        std::min<uint64_t>(n, extent > in_blk ? extent - in_blk : 0));
+    if (stored > 0) {
+      std::memcpy(out + done, it->second.data() + in_blk, stored);
     }
+    std::memset(out + done + stored, 0, n - stored);
     pos += n;
     done += n;
   }
   return Status::OK();
+}
+
+void MemBlockDevice::Discard(BlockId start, uint64_t nblocks) {
+  for (uint64_t i = 0; i < nblocks; ++i) {
+    const auto it = blocks_.find(start + i);
+    if (it == blocks_.end()) continue;
+    resident_bytes_ -= it->second.capacity();
+    blocks_.erase(it);
+  }
 }
 
 }  // namespace duplex::storage

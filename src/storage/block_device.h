@@ -32,7 +32,12 @@ class BlockDevice {
                       size_t len) const = 0;
 };
 
-// In-memory sparse block device: only blocks ever written consume memory.
+// In-memory sparse block device. Only blocks ever written consume memory,
+// and each block holds only the bytes up to the highest one written to
+// it: the rest reads as zeros, exactly like a block never written. A
+// 4 KiB block holding a 200-byte chunk tail therefore costs ~200 bytes,
+// not 4 KiB, while every reader (checksums included) still sees the full
+// zero-padded block image.
 class MemBlockDevice : public BlockDevice {
  public:
   MemBlockDevice(uint64_t capacity_blocks, uint64_t block_size);
@@ -45,13 +50,21 @@ class MemBlockDevice : public BlockDevice {
   Status Read(BlockId start, uint64_t byte_offset, uint8_t* out,
               size_t len) const override;
 
-  // Number of distinct blocks that have ever been written.
+  // Drops the stored bytes of [start, start + nblocks): the range was
+  // freed, and it reads as zeros until written again.
+  void Discard(BlockId start, uint64_t nblocks);
+
+  // Number of blocks currently holding bytes.
   uint64_t resident_blocks() const { return blocks_.size(); }
+  // Heap bytes reserved for block contents (capacity, not extent).
+  uint64_t resident_bytes() const { return resident_bytes_; }
 
  private:
   uint64_t capacity_blocks_;
   uint64_t block_size_;
+  // Each vector's size() is the block's written extent.
   std::unordered_map<BlockId, std::vector<uint8_t>> blocks_;
+  uint64_t resident_bytes_ = 0;
   // Op counters only — a memory copy is too cheap to pay two clock reads.
   Counter* m_reads_ = nullptr;
   Counter* m_writes_ = nullptr;

@@ -121,7 +121,14 @@ Status DiskArray::Free(const BlockRange& range) {
     // not "corrupt because it no longer matches its previous life".
     disks_[range.disk].checksum->Forget(range.start, range.length);
   }
-  return disks_[range.disk].space->Free(range.start, range.length);
+  DUPLEX_RETURN_IF_ERROR(
+      disks_[range.disk].space->Free(range.start, range.length));
+  if (disks_[range.disk].device != nullptr) {
+    // The stored bytes go too, so memory follows the live chunks rather
+    // than every block ever written; a freed block reads as zeros.
+    disks_[range.disk].device->Discard(range.start, range.length);
+  }
+  return Status::OK();
 }
 
 uint64_t DiskArray::free_blocks(DiskId disk) const {

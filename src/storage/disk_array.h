@@ -77,10 +77,11 @@ class DiskArray {
   Result<BlockRange> Allocate(uint64_t length);
 
   // Returns a range to free space, invalidating cached frames and
-  // forgetting checksums first. Errors are typed, never fatal: an unknown
-  // disk or empty range is kInvalidArgument, a double free (overlap with
-  // an existing free run) is kCorruption — callers on the compaction hot
-  // path recover instead of aborting.
+  // forgetting checksums first, then dropping the range's stored bytes
+  // (it reads as zeros until rewritten). Errors are typed, never fatal:
+  // an unknown disk or empty range is kInvalidArgument, a double free
+  // (overlap with an existing free run) is kCorruption — callers on the
+  // compaction hot path recover instead of aborting.
   Status Free(const BlockRange& range);
 
   uint64_t free_blocks(DiskId disk) const;

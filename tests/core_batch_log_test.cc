@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 
+#include "core/posting_codec.h"
+#include "core/scrub.h"
 #include "storage/buffer_pool.h"
+#include "util/hash.h"
 
 namespace duplex::core {
 namespace {
@@ -24,6 +31,26 @@ class BatchLogTest : public ::testing::Test {
     text::BatchUpdate b;
     b.pairs = std::move(pairs);
     return b;
+  }
+
+  // Every retained batch, read back from the file.
+  static std::vector<BatchLog::LoggedBatch> ReadAll(const BatchLog& log) {
+    std::vector<BatchLog::LoggedBatch> batches;
+    const Status read = log.ForEachBatch(
+        log.base_epoch(), [&](const BatchLog::LoggedBatch& batch) {
+          batches.push_back(batch);
+          return Status::OK();
+        });
+    EXPECT_TRUE(read.ok()) << read;
+    return batches;
+  }
+
+  // Batch `id`, read back from the file.
+  static BatchLog::LoggedBatch Batch(const BatchLog& log, uint64_t id) {
+    std::vector<BatchLog::LoggedBatch> batches = ReadAll(log);
+    const uint64_t i = id - log.base_epoch();
+    EXPECT_LT(i, batches.size());
+    return i < batches.size() ? batches[i] : BatchLog::LoggedBatch{};
   }
 
   static IndexOptions Options(bool materialize = false) {
@@ -66,7 +93,7 @@ TEST_F(BatchLogTest, MarkAppliedRemovesFromUnapplied) {
   ASSERT_TRUE((*log)->MarkApplied(0).ok());
   const auto unapplied = (*log)->UnappliedBatches();
   ASSERT_EQ(unapplied.size(), 1u);
-  EXPECT_EQ(unapplied[0]->id, 1u);
+  EXPECT_EQ(unapplied[0], 1u);
   EXPECT_EQ((*log)->batches_applied(), 1u);
   EXPECT_EQ((*log)->MarkApplied(9).code(), StatusCode::kInvalidArgument);
 }
@@ -84,8 +111,8 @@ TEST_F(BatchLogTest, SurvivesReopen) {
   EXPECT_EQ((*log)->batches_logged(), 2u);
   const auto unapplied = (*log)->UnappliedBatches();
   ASSERT_EQ(unapplied.size(), 1u);
-  EXPECT_EQ(unapplied[0]->id, 1u);
-  EXPECT_EQ(unapplied[0]->counts.pairs,
+  EXPECT_EQ(unapplied[0], 1u);
+  EXPECT_EQ(Batch(**log, unapplied[0]).counts.pairs,
             (std::vector<text::WordCount>{{7, 1}}));
 }
 
@@ -101,11 +128,11 @@ TEST_F(BatchLogTest, MaterializedBatchesRoundTrip) {
   ASSERT_TRUE(log.ok());
   const auto unapplied = (*log)->UnappliedBatches();
   ASSERT_EQ(unapplied.size(), 1u);
-  EXPECT_TRUE(unapplied[0]->materialized);
-  ASSERT_EQ(unapplied[0]->docs.entries.size(), 2u);
-  EXPECT_EQ(unapplied[0]->docs.entries[0].docs,
-            (std::vector<DocId>{0, 3, 4}));
-  EXPECT_EQ(unapplied[0]->counts.pairs[0], (text::WordCount{2, 3}));
+  const BatchLog::LoggedBatch logged = Batch(**log, unapplied[0]);
+  EXPECT_TRUE(logged.materialized);
+  ASSERT_EQ(logged.docs.entries.size(), 2u);
+  EXPECT_EQ(logged.docs.entries[0].docs, (std::vector<DocId>{0, 3, 4}));
+  EXPECT_EQ(logged.counts.pairs[0], (text::WordCount{2, 3}));
 }
 
 TEST_F(BatchLogTest, WordStringsSurviveReopenAndTruncation) {
@@ -125,11 +152,11 @@ TEST_F(BatchLogTest, WordStringsSurviveReopenAndTruncation) {
   {
     Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
     ASSERT_TRUE(log.ok());
-    EXPECT_EQ((*log)->batch(0).words,
+    EXPECT_EQ(Batch(**log, 0).words,
               (std::vector<std::string>{"alpha", "beta"}));
-    EXPECT_TRUE((*log)->batch(1).words.empty());
-    // TruncateTo rewrites the surviving tail from the in-memory batches;
-    // the strings must survive that re-encode too.
+    EXPECT_TRUE(Batch(**log, 1).words.empty());
+    // TruncateTo copies the surviving tail's records into the new file;
+    // the strings must survive that copy too.
     ASSERT_TRUE((*log)->MarkApplied(1).ok());
     ASSERT_TRUE(
         (*log)->AppendBatch(first, {"alpha", "beta"}).ok());
@@ -138,7 +165,7 @@ TEST_F(BatchLogTest, WordStringsSurviveReopenAndTruncation) {
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
   ASSERT_EQ((*log)->batches_logged(), 1u);
-  EXPECT_EQ((*log)->batch(0).words,
+  EXPECT_EQ(Batch(**log, 2).words,
             (std::vector<std::string>{"alpha", "beta"}));
 }
 
@@ -441,7 +468,7 @@ TEST_F(BatchLogTest, TruncateToDropsPrefixAndKeepsGlobalIds) {
   ASSERT_TRUE((*log)->TruncateTo(3).ok());
   EXPECT_EQ((*log)->base_epoch(), 3u);
   EXPECT_EQ((*log)->batches_logged(), 2u);
-  EXPECT_EQ((*log)->batch(0).id, 3u);
+  EXPECT_EQ(ReadAll(**log).front().id, 3u);
   EXPECT_EQ((*log)->next_id(), 5u);
   // Ids keep counting globally after the truncation.
   Result<uint64_t> next = (*log)->AppendBatch(CountBatch({{9, 1}}));
@@ -661,6 +688,418 @@ TEST_F(BatchLogTest, CrashDuringTruncateToKeepsTheOldLog) {
     EXPECT_EQ((*log)->batches_applied(), 4u);
     std::remove(path.c_str());
   }
+}
+
+// --- Record index: batches live in the file, read back on demand ---------
+
+// The record framing and batch payload written out independently of
+// BatchLog, as the format defines them. TruncateTo's output is compared
+// against this re-encoding of the decoded batches.
+std::string Frame(char type, const std::string& payload) {
+  std::string out(1, type);
+  PutVarint64(payload.size(), &out);
+  out += payload;
+  const uint64_t checksum =
+      Fnv1a64(payload.data(), payload.size(), Fnv1a64(&type, 1));
+  out.append(reinterpret_cast<const char*>(&checksum), 8);
+  return out;
+}
+
+std::string IdRecord(char type, uint64_t id) {
+  std::string payload;
+  PutVarint64(id, &payload);
+  return Frame(type, payload);
+}
+
+std::string EncodeBatchRecord(const BatchLog::LoggedBatch& batch) {
+  const bool with_words = batch.materialized && !batch.words.empty();
+  std::string payload;
+  PutVarint64(batch.id, &payload);
+  PutVarint64((batch.materialized ? 1 : 0) | (with_words ? 2 : 0), &payload);
+  if (batch.materialized) {
+    PutVarint64(batch.docs.entries.size(), &payload);
+    for (const auto& entry : batch.docs.entries) {
+      PutVarint64(entry.word, &payload);
+      PutVarint64(entry.docs.size(), &payload);
+      EncodePostings(entry.docs, 0, &payload);
+    }
+    for (const std::string& word : batch.words) {
+      PutVarint64(word.size(), &payload);
+      payload += word;
+    }
+  } else {
+    PutVarint64(batch.counts.pairs.size(), &payload);
+    for (const auto& pair : batch.counts.pairs) {
+      PutVarint64(pair.word, &payload);
+      PutVarint64(pair.count, &payload);
+    }
+  }
+  return Frame('B', payload);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void CopyFile(const std::string& from, const std::string& to) {
+  std::ofstream out(to, std::ios::binary | std::ios::trunc);
+  out << FileBytes(from);
+}
+
+// Six materialized batches over words 0..7, deterministic.
+std::vector<text::InvertedBatch> History() {
+  std::vector<text::InvertedBatch> batches;
+  DocId doc = 0;
+  for (uint64_t b = 0; b < 6; ++b) {
+    text::InvertedBatch batch;
+    std::vector<std::vector<DocId>> lists(8);
+    for (int d = 0; d < 30; ++d, ++doc) {
+      for (WordId w = 0; w < 8; ++w) {
+        if ((doc + w * 3) % (w + 1) == 0) lists[w].push_back(doc);
+      }
+    }
+    for (WordId w = 0; w < 8; ++w) {
+      if (!lists[w].empty()) batch.entries.push_back({w, lists[w]});
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+std::map<WordId, std::vector<DocId>> AllPostings(const InvertedIndex& index) {
+  std::map<WordId, std::vector<DocId>> out;
+  for (WordId w = 0; w < 8; ++w) {
+    Result<std::vector<DocId>> docs = index.GetPostings(w);
+    if (docs.ok()) out[w] = *docs;
+  }
+  return out;
+}
+
+class BatchLogIndexTest : public BatchLogTest {
+ protected:
+  // A live log at `path` holding History(): the first `applied` batches
+  // went through ApplyLogged, the rest were appended but never committed.
+  std::unique_ptr<BatchLog> MakeLive(const std::string& path,
+                                     uint64_t applied,
+                                     InvertedIndex* index = nullptr) {
+    std::remove(path.c_str());
+    cleanup_.push_back(path);
+    Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path);
+    EXPECT_TRUE(log.ok()) << log.status();
+    (*log)->set_fsync(false);
+    InvertedIndex scratch(Options(true));
+    if (index == nullptr) index = &scratch;
+    const std::vector<text::InvertedBatch> batches = History();
+    for (uint64_t i = 0; i < batches.size(); ++i) {
+      const Status s = i < applied
+                           ? (*log)->ApplyLogged(index, batches[i])
+                           : (*log)->AppendBatch(batches[i]).status();
+      EXPECT_TRUE(s.ok()) << s;
+    }
+    return std::move(*log);
+  }
+
+  // Opens a byte copy of `live`'s file: what a restart would see.
+  std::unique_ptr<BatchLog> Reopen(const BatchLog& live) {
+    const std::string copy = live.path() + "_reopened";
+    cleanup_.push_back(copy);
+    CopyFile(live.path(), copy);
+    Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(copy);
+    EXPECT_TRUE(log.ok()) << log.status();
+    (*log)->set_fsync(false);
+    return std::move(*log);
+  }
+
+  // An index holding the first `n` batches of History(), applied directly
+  // (stands in for a checkpoint restore).
+  static void ApplyPrefix(uint64_t n, InvertedIndex* index) {
+    const std::vector<text::InvertedBatch> batches = History();
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(index->ApplyInvertedBatch(batches[i]).ok());
+    }
+  }
+
+  void TearDown() override {
+    for (const std::string& path : cleanup_) std::remove(path.c_str());
+    BatchLogTest::TearDown();
+  }
+
+  std::vector<std::string> cleanup_;
+};
+
+TEST_F(BatchLogIndexTest, ReopenedLogRecoversLikeTheLiveObject) {
+  InvertedIndex reference(Options(true));
+  ApplyPrefix(6, &reference);
+
+  // RecoverInto: the uncommitted tail replays onto the committed prefix.
+  {
+    std::unique_ptr<BatchLog> live = MakeLive(path_ + "_recover", 3);
+    std::unique_ptr<BatchLog> reopened = Reopen(*live);
+    InvertedIndex from_live(Options(true));
+    InvertedIndex from_reopened(Options(true));
+    ApplyPrefix(3, &from_live);
+    ApplyPrefix(3, &from_reopened);
+    ASSERT_TRUE(live->RecoverInto(&from_live).ok());
+    ASSERT_TRUE(reopened->RecoverInto(&from_reopened).ok());
+    EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
+    EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
+    EXPECT_EQ(live->batches_unapplied(), 0u);
+    EXPECT_EQ(reopened->batches_unapplied(), 0u);
+  }
+  // ReplayFrom at every epoch the log can serve.
+  for (uint64_t epoch = 0; epoch <= 3; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    std::unique_ptr<BatchLog> live =
+        MakeLive(path_ + "_from" + std::to_string(epoch), 3);
+    std::unique_ptr<BatchLog> reopened = Reopen(*live);
+    InvertedIndex from_live(Options(true));
+    InvertedIndex from_reopened(Options(true));
+    ApplyPrefix(epoch, &from_live);
+    ApplyPrefix(epoch, &from_reopened);
+    ASSERT_TRUE(live->ReplayFrom(epoch, &from_live).ok());
+    ASSERT_TRUE(reopened->ReplayFrom(epoch, &from_reopened).ok());
+    EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
+    EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
+  }
+  // TruncateTo, then the checkpoint-tail replay: same file, same index.
+  {
+    std::unique_ptr<BatchLog> live = MakeLive(path_ + "_truncate", 3);
+    std::unique_ptr<BatchLog> reopened = Reopen(*live);
+    ASSERT_TRUE(live->TruncateTo(2).ok());
+    ASSERT_TRUE(reopened->TruncateTo(2).ok());
+    EXPECT_EQ(FileBytes(live->path()), FileBytes(reopened->path()));
+    // Appends after the truncation land at the right offsets too.
+    ASSERT_TRUE(live->MarkApplied(5).ok());
+    ASSERT_TRUE(reopened->MarkApplied(5).ok());
+    InvertedIndex from_live(Options(true));
+    InvertedIndex from_reopened(Options(true));
+    ApplyPrefix(2, &from_live);
+    ApplyPrefix(2, &from_reopened);
+    ASSERT_TRUE(live->ReplayFrom(2, &from_live).ok());
+    ASSERT_TRUE(reopened->ReplayFrom(2, &from_reopened).ok());
+    EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
+    EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
+  }
+}
+
+TEST_F(BatchLogIndexTest, ScrubRepairsAlikeFromLiveAndReopenedLog) {
+  IndexOptions options = Options(true);
+  options.disks.checksums = true;
+  options.policy = Policy::WholeZ();
+  InvertedIndex with_live(options);
+  InvertedIndex with_reopened(options);
+  std::unique_ptr<BatchLog> live =
+      MakeLive(path_ + "_scrub", 6, &with_live);
+  std::unique_ptr<BatchLog> reopened = Reopen(*live);
+  ApplyPrefix(6, &with_reopened);
+  const std::map<WordId, std::vector<DocId>> expected =
+      AllPostings(with_live);
+
+  // Rot one byte of the first long list's first chunk in both indexes.
+  const auto& lists = with_live.long_list_store().directory().lists();
+  ASSERT_FALSE(lists.empty());
+  WordId victim = lists.begin()->first;
+  for (const auto& [word, list] : lists) victim = std::min(victim, word);
+  for (InvertedIndex* index : {&with_live, &with_reopened}) {
+    const LongList* list =
+        index->long_list_store().directory().Find(victim);
+    ASSERT_NE(list, nullptr);
+    const storage::BlockRange range = list->chunks.front().range;
+    storage::MemBlockDevice* dev = index->disks().base_device(range.disk);
+    uint8_t byte = 0;
+    ASSERT_TRUE(dev->Read(range.start, 0, &byte, 1).ok());
+    byte ^= 0x10;
+    ASSERT_TRUE(dev->Write(range.start, 0, &byte, 1).ok());
+  }
+
+  Result<ScrubReport> live_report = ScrubIndex(&with_live, live.get());
+  Result<ScrubReport> reopened_report =
+      ScrubIndex(&with_reopened, reopened.get());
+  ASSERT_TRUE(live_report.ok()) << live_report.status();
+  ASSERT_TRUE(reopened_report.ok()) << reopened_report.status();
+  EXPECT_EQ(live_report->repaired, (std::vector<WordId>{victim}));
+  EXPECT_EQ(reopened_report->repaired, live_report->repaired);
+  EXPECT_TRUE(reopened_report->quarantined.empty());
+  EXPECT_EQ(AllPostings(with_live), expected);
+  EXPECT_EQ(AllPostings(with_reopened), expected);
+}
+
+TEST_F(BatchLogTest, TruncateToCopiesTheReencodedImageByteForByte) {
+  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
+  ASSERT_TRUE(log.ok());
+  (*log)->set_fsync(false);
+  text::InvertedBatch with_words;
+  with_words.entries = {{2, {0, 1}}, {8, {1, 5, 300}}};
+  text::InvertedBatch without_words;
+  without_words.entries = {{3, {7}}};
+  ASSERT_TRUE((*log)->AppendBatch(with_words, {"two", "eight"}).ok());
+  ASSERT_TRUE((*log)->AppendBatch(CountBatch({{4, 2}, {6, 1}})).ok());
+  ASSERT_TRUE((*log)->AppendBatch(without_words).ok());
+  ASSERT_TRUE((*log)->AppendBatch(with_words, {"two", "eight"}).ok());
+  ASSERT_TRUE((*log)->AppendBatch(CountBatch({{9, 9}})).ok());
+  for (const uint64_t id : {0, 1, 2, 4}) {
+    ASSERT_TRUE((*log)->MarkApplied(id).ok());
+  }
+  const std::vector<BatchLog::LoggedBatch> before = ReadAll(**log);
+  ASSERT_EQ(before.size(), 5u);
+
+  ASSERT_TRUE((*log)->TruncateTo(2).ok());
+  std::string expected = IdRecord('E', 2);
+  for (size_t i = 2; i < before.size(); ++i) {
+    expected += EncodeBatchRecord(before[i]);
+  }
+  expected += IdRecord('A', 2);
+  expected += IdRecord('A', 4);
+  EXPECT_EQ(FileBytes(path_), expected);
+}
+
+// A log written by the previous release of BatchLog (which kept decoded
+// batches in memory and re-encoded them on TruncateTo): batches 0..2
+// appended (0 and 1 with word strings), 0..2 committed, TruncateTo(1),
+// then batch 3 (with strings) and batch 4 appended and left uncommitted.
+constexpr unsigned char kPreviousReleaseLog[] = {
+    0x45, 0x01, 0x01, 0x13, 0xcc, 0x95, 0xb5, 0x07, 0x0b, 0xfb, 0x08, 0x42,
+    0x15, 0x01, 0x03, 0x02, 0x01, 0x02, 0x03, 0x01, 0x09, 0x01, 0x04, 0x05,
+    0x61, 0x6c, 0x70, 0x68, 0x61, 0x04, 0x69, 0x6f, 0x74, 0x61, 0xb8, 0x4c,
+    0x0c, 0xfd, 0xa7, 0x25, 0x22, 0x41, 0x42, 0x0a, 0x02, 0x01, 0x02, 0x04,
+    0x02, 0x05, 0x01, 0x09, 0x01, 0x05, 0xdf, 0x25, 0x4a, 0xcc, 0x1f, 0x65,
+    0xa5, 0x7d, 0x41, 0x01, 0x01, 0xb7, 0x58, 0xa1, 0xb5, 0x07, 0xa3, 0x08,
+    0x09, 0x41, 0x01, 0x02, 0x6a, 0x5a, 0xa1, 0xb5, 0x07, 0xa4, 0x08, 0x09,
+    0x42, 0x15, 0x03, 0x03, 0x02, 0x01, 0x01, 0x07, 0x02, 0x02, 0x07, 0x01,
+    0x05, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x04, 0x62, 0x65, 0x74, 0x61, 0x6f,
+    0xd6, 0xce, 0x22, 0xda, 0x68, 0x4a, 0x94, 0x42, 0x06, 0x04, 0x01, 0x01,
+    0x09, 0x01, 0x09, 0xf2, 0xca, 0x9d, 0x12, 0xd0, 0xe5, 0x66, 0xb4,
+};
+
+TEST_F(BatchLogTest, LogFromThePreviousReleaseOpensAndReplays) {
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(kPreviousReleaseLog),
+              sizeof(kPreviousReleaseLog));
+  }
+  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ((*log)->base_epoch(), 1u);
+  EXPECT_EQ((*log)->next_id(), 5u);
+  EXPECT_EQ((*log)->batches_logged(), 4u);
+  EXPECT_EQ((*log)->UnappliedBatches(), (std::vector<uint64_t>{3, 4}));
+  const std::vector<BatchLog::LoggedBatch> batches = ReadAll(**log);
+  ASSERT_EQ(batches.size(), 4u);
+  EXPECT_EQ(batches[0].words, (std::vector<std::string>{"alpha", "iota"}));
+  EXPECT_TRUE(batches[1].words.empty());
+  EXPECT_EQ(batches[2].words, (std::vector<std::string>{"alpha", "beta"}));
+
+  // "Checkpoint" covering batch 0, then the tail.
+  InvertedIndex recovered(Options(true));
+  text::InvertedBatch b0;
+  b0.entries = {{1, {0, 1, 2}}, {4, {2}}};
+  ASSERT_TRUE(recovered.ApplyInvertedBatch(b0).ok());
+  ASSERT_TRUE((*log)->ReplayFrom(1, &recovered).ok());
+  EXPECT_EQ(*recovered.GetPostings(WordId{1}),
+            (std::vector<DocId>{0, 1, 2, 3, 4, 7}));
+  EXPECT_EQ(*recovered.GetPostings(WordId{2}), (std::vector<DocId>{7, 8}));
+  EXPECT_EQ(*recovered.GetPostings(WordId{4}),
+            (std::vector<DocId>{2, 5, 6}));
+  EXPECT_EQ(*recovered.GetPostings(WordId{9}),
+            (std::vector<DocId>{4, 5, 9}));
+  EXPECT_EQ((*log)->batches_unapplied(), 0u);
+}
+
+TEST_F(BatchLogIndexTest, RecordDamagedAfterOpenIsTypedCorruption) {
+  // Damage patterns applied to batch 1's record after the log is open: a
+  // flipped payload byte, one low bit of its last posting gap (the payload
+  // still decodes, to different doc ids — only the checksum can tell), a
+  // flipped length byte, and a cut file.
+  enum class Damage { kPayloadByte, kGapBit, kLengthByte, kTruncated };
+  for (const Damage damage : {Damage::kPayloadByte, Damage::kGapBit,
+                              Damage::kLengthByte, Damage::kTruncated}) {
+    SCOPED_TRACE("damage " + std::to_string(static_cast<int>(damage)));
+    const std::string path =
+        path_ + "_damage" + std::to_string(static_cast<int>(damage));
+    std::unique_ptr<BatchLog> log = MakeLive(path, 0);
+    // Batch 1's record starts right after batch 0's.
+    const std::vector<BatchLog::LoggedBatch> batches = ReadAll(*log);
+    ASSERT_EQ(batches.size(), 6u);
+    const uint64_t record1 = EncodeBatchRecord(batches[0]).size();
+    const uint64_t record1_size = EncodeBatchRecord(batches[1]).size();
+    if (damage == Damage::kTruncated) {
+      ASSERT_EQ(::truncate(path.c_str(),
+                           static_cast<off_t>(record1 + record1_size / 2)),
+                0);
+    } else {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      uint64_t at = record1 + record1_size / 2;
+      char flip = 0x04;
+      if (damage == Damage::kLengthByte) at = record1 + 1;
+      if (damage == Damage::kGapBit) {
+        at = record1 + record1_size - 9;  // last payload byte
+        flip = 0x01;
+      }
+      f.seekg(static_cast<std::streamoff>(at));
+      const char old = static_cast<char>(f.get());
+      f.seekp(static_cast<std::streamoff>(at));
+      f.put(static_cast<char>(old ^ flip));
+    }
+
+    InvertedIndex replayed(Options(true));
+    const Status replay = log->ReplayInto(&replayed);
+    EXPECT_TRUE(replay.IsCorruption()) << replay;
+    // Batch 0 applied before the damaged record was reached, and nothing
+    // after it: a correct prefix, never wrong postings.
+    InvertedIndex prefix(Options(true));
+    ApplyPrefix(1, &prefix);
+    EXPECT_EQ(AllPostings(replayed), AllPostings(prefix));
+
+    InvertedIndex recovered(Options(true));
+    EXPECT_TRUE(log->RecoverInto(&recovered).IsCorruption());
+    EXPECT_TRUE(log->ForEachBatch(1, [](const BatchLog::LoggedBatch&) {
+                      return Status::OK();
+                    }).IsCorruption());
+    // Truncation must not launder the damage into a fresh file.
+    const std::string before = FileBytes(path);
+    ASSERT_TRUE(log->MarkApplied(0).ok());
+    EXPECT_TRUE(log->TruncateTo(1).IsCorruption());
+    EXPECT_EQ(FileBytes(path).substr(0, before.size()), before);
+  }
+}
+
+TEST_F(BatchLogTest, FailedSyncRecordIsReadBackAndKeepsIdsDense) {
+  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
+  ASSERT_TRUE(log.ok());
+  (*log)->set_fsync(false);
+  text::InvertedBatch b0;
+  b0.entries = {{1, {0}}};
+  text::InvertedBatch b1;
+  b1.entries = {{1, {1}}, {2, {1}}};
+  text::InvertedBatch b2;
+  b2.entries = {{2, {2}}};
+  ASSERT_TRUE((*log)->AppendBatch(b0).ok());
+  (*log)->set_fail_next_syncs(1);
+  Result<uint64_t> ambiguous = (*log)->AppendBatch(b1);
+  ASSERT_TRUE(ambiguous.status().IsIoError()) << ambiguous.status();
+  Result<uint64_t> after = (*log)->AppendBatch(b2);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, 2u);
+
+  // The live object reads all three records back from where they landed,
+  // the ambiguous one included, exactly as a reopen does.
+  const std::vector<BatchLog::LoggedBatch> live = ReadAll(**log);
+  Result<std::unique_ptr<BatchLog>> reopened = BatchLog::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  const std::vector<BatchLog::LoggedBatch> from_disk = ReadAll(**reopened);
+  ASSERT_EQ(live.size(), 3u);
+  ASSERT_EQ(from_disk.size(), 3u);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(live[i].id, i);
+    EXPECT_EQ(from_disk[i].id, i);
+    EXPECT_EQ(live[i].counts.pairs, from_disk[i].counts.pairs);
+  }
+  EXPECT_EQ(live[1].docs.entries.size(), 2u);
+  InvertedIndex recovered(Options(true));
+  ASSERT_TRUE((*log)->RecoverInto(&recovered).ok());
+  EXPECT_EQ(*recovered.GetPostings(WordId{2}), (std::vector<DocId>{1, 2}));
 }
 
 }  // namespace

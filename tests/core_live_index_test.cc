@@ -251,12 +251,18 @@ TEST_F(LiveIndexTest, AckedDocumentsSurviveRestartViaWalReplay) {
   ShardedIndex recovered(options);
   Result<std::unique_ptr<BatchLog>> wal = BatchLog::Open(wal_path_);
   ASSERT_TRUE(wal.ok());
-  for (uint64_t i = 0; i < (*wal)->batches_logged(); ++i) {
-    const BatchLog::LoggedBatch& batch = (*wal)->batch(i);
-    ASSERT_TRUE(
-        recovered.RestoreBatchWords(batch.docs, batch.words).ok());
-    ASSERT_TRUE(recovered.ApplyInvertedBatch(batch.docs).ok());
-  }
+  ASSERT_TRUE((*wal)
+                  ->ForEachBatch(0,
+                                 [&](const BatchLog::LoggedBatch& batch) {
+                                   EXPECT_TRUE(recovered
+                                                   .RestoreBatchWords(
+                                                       batch.docs,
+                                                       batch.words)
+                                                   .ok());
+                                   return recovered.ApplyInvertedBatch(
+                                       batch.docs);
+                                 })
+                  .ok());
   Result<std::vector<DocId>> postings = recovered.GetPostings(fox_word);
   ASSERT_TRUE(postings.ok()) << postings.status();
   EXPECT_EQ(*postings, expect_fox);

@@ -168,10 +168,13 @@ TEST(ShardedRecoveryTest, CrashOnOneShardIsIsolatedAndRecoverable) {
     ASSERT_TRUE(replay.ok());
     ASSERT_EQ((*replay)->batches_logged(), batches.size());
     EXPECT_EQ((*replay)->UnappliedBatches().size(), 1u) << "crash " << k;
-    for (uint64_t i = 0; i < (*replay)->batches_logged(); ++i) {
-      ASSERT_TRUE(
-          recovered.ApplyInvertedBatch((*replay)->batch(i).docs).ok());
-    }
+    ASSERT_TRUE(
+        (*replay)
+            ->ForEachBatch(0,
+                           [&](const core::BatchLog::LoggedBatch& batch) {
+                             return recovered.ApplyInvertedBatch(batch.docs);
+                           })
+            .ok());
     ASSERT_TRUE(recovered.VerifyIntegrity().ok()) << "crash " << k;
     for (WordId w = 0; w < kWords; ++w) {
       const Result<std::vector<DocId>> expect = reference.GetPostings(w);

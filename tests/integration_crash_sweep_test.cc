@@ -102,7 +102,12 @@ void ExpectBitEquivalent(const core::InvertedIndex& got,
 class CrashSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    wal_path_ = ::testing::TempDir() + "/duplex_crash_sweep.wal";
+    // One file per test: ctest runs the sweeps as parallel processes.
+    wal_path_ = ::testing::TempDir() + "/duplex_crash_sweep_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".wal";
     std::remove(wal_path_.c_str());
   }
   void TearDown() override { std::remove(wal_path_.c_str()); }

@@ -253,13 +253,19 @@ TEST(DeltaCrashSweep, UnackedSubmitIsNeverHalfVisible) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->batches_logged(), 3u);
   ShardedIndex recovered(BaseOptions());
-  for (uint64_t i = 0; i < (*reopened)->batches_logged(); ++i) {
-    ASSERT_TRUE(
-        recovered.ApplyInvertedBatch((*reopened)->batch(i).docs).ok());
-  }
+  std::vector<BatchLog::LoggedBatch> logged;
+  ASSERT_TRUE((*reopened)
+                  ->ForEachBatch(0,
+                                 [&](const BatchLog::LoggedBatch& batch) {
+                                   logged.push_back(batch);
+                                   return recovered.ApplyInvertedBatch(
+                                       batch.docs);
+                                 })
+                  .ok());
+  ASSERT_EQ(logged.size(), 3u);
   // The phantom batch is log record 1; after replay, EVERY word of that
   // document must hold its posting — atomic appearance, no torn subset.
-  const BatchLog::LoggedBatch& phantom = (*reopened)->batch(1);
+  const BatchLog::LoggedBatch& phantom = logged[1];
   ASSERT_FALSE(phantom.docs.entries.empty());
   for (const auto& entry : phantom.docs.entries) {
     Result<std::vector<DocId>> postings = recovered.GetPostings(entry.word);

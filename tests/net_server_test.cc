@@ -6,8 +6,10 @@
 // → typed GoAway + close, overload → typed BUSY, stale queue entries →
 // deadline shedding) and Start/Stop lifecycle idempotency.
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,12 +40,66 @@ core::ShardedIndexOptions SmallOptions(uint32_t shards) {
   return core::ShardedIndexOptions::Partition(total, shards);
 }
 
+// A latch on the boolean-query handler. While closed, every boolean
+// query parks its worker until the test opens it, so overload tests can
+// hold the server saturated for exactly as long as they need.
+class HandlerGate {
+ public:
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  // Blocks until `n` handlers have parked on the closed gate; false if
+  // that takes implausibly long (the test fails instead of hanging).
+  bool AwaitParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return parked_ >= n; });
+  }
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (open_) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int parked_ = 0;
+};
+
+class GatedService : public ShardedIndexService {
+ public:
+  GatedService(core::ShardedIndex* index, core::BatchLog* wal,
+               HandlerGate* gate)
+      : ShardedIndexService(index, wal), gate_(gate) {}
+
+ protected:
+  Result<ir::QueryResult> Boolean(std::string_view query) override {
+    gate_->Pass();
+    return ShardedIndexService::Boolean(query);
+  }
+
+ private:
+  HandlerGate* gate_;
+};
+
 // Index + service + running server on an ephemeral loopback port.
 class ServerFixture {
  public:
   explicit ServerFixture(ServerOptions options = {},
                          core::BatchLog* wal = nullptr)
-      : index_(SmallOptions(4)), service_(&index_, wal) {
+      : index_(SmallOptions(4)), service_(&index_, wal, &gate_) {
     index_.AddDocument("incremental updates of inverted lists");
     index_.AddDocument("text document retrieval with inverted files");
     index_.AddDocument("dual structure index for incremental text updates");
@@ -55,7 +111,10 @@ class ServerFixture {
     EXPECT_TRUE(started.ok()) << started;
   }
 
-  ~ServerFixture() { server_->Stop(); }
+  ~ServerFixture() {
+    gate_.Open();  // Stop drains admitted requests; none may stay parked
+    server_->Stop();
+  }
 
   Client ConnectOrDie() {
     Result<Client> client = Client::Connect("127.0.0.1", server_->port());
@@ -65,10 +124,12 @@ class ServerFixture {
 
   core::ShardedIndex& index() { return index_; }
   Server& server() { return *server_; }
+  HandlerGate& gate() { return gate_; }
 
  private:
+  HandlerGate gate_;
   core::ShardedIndex index_;
-  ShardedIndexService service_;
+  GatedService service_;
   std::unique_ptr<Server> server_;
 };
 
@@ -435,27 +496,53 @@ TEST(NetClientTest, RecvTimeoutUnwedgesFromSilentPeer) {
   acceptor.join();
 }
 
-// Overloaded fixture: one worker sleeping per request behind tiny queues,
-// so a pipelined burst keeps the server BUSY for a predictable window.
+// Overloaded fixture: one worker behind tiny queues, with a connection cap
+// one above the global queue, so a single connection can park the worker
+// on the gate and then fill the whole queue.
 ServerOptions OverloadOptions() {
   ServerOptions options;
   options.num_workers = 1;
-  options.per_connection_queue = 2;
+  options.per_connection_queue = 3;
   options.global_queue = 2;
   options.request_deadline = std::chrono::milliseconds(0);  // no shedding
-  options.test_handler_delay = std::chrono::milliseconds(50);
   return options;
 }
 
-// Fills the server's queues from a second connection and returns it (the
-// responses stay unread so the requests occupy the queues/worker).
+// Polls `done` until it holds (or a generous bound passes, so a broken
+// server fails the test instead of hanging it).
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Saturates the server from a second connection and returns it (the
+// responses stay unread). The first request parks the only worker on the
+// closed gate; the next ones fill the global queue, and the rest of the
+// burst is answered BUSY. Until the test opens the gate, every further
+// request from any connection meets a full queue.
 Client FloodServer(ServerFixture& fx, int burst) {
+  fx.gate().Close();
   Client flooder = fx.ConnectOrDie();
   const std::string payload = EncodeBooleanQueryRequest({"inverted"});
   for (int i = 0; i < burst; ++i) {
     Result<uint64_t> sent = flooder.Send(Opcode::kBooleanQuery, payload);
     EXPECT_TRUE(sent.ok()) << sent.status();
+    if (i == 0) {
+      EXPECT_TRUE(fx.gate().AwaitParked(1));
+    }
   }
+  Server& server = fx.server();
+  const uint64_t overflow = burst - 1 - server.queue_capacity();
+  EXPECT_TRUE(WaitUntil([&] {
+    return server.queue_depth() == server.queue_capacity() &&
+           server.requests_rejected() == overflow;
+  }));
   return flooder;
 }
 
@@ -468,8 +555,8 @@ TEST(NetClientTest, BusyWithoutRetryStaysTyped) {
   Result<Client> client =
       Client::Connect("127.0.0.1", fx.server().port(), options);
   ASSERT_TRUE(client.ok()) << client.status();
-  // The queues hold ~600ms of work; with retry disabled the typed BUSY
-  // must reach the caller unchanged.
+  // The worker is parked and the queue is full until the gate opens; with
+  // retry disabled the typed BUSY must reach the caller unchanged.
   Result<ir::QueryResult> result = client->Boolean("inverted");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted()) << result.status();
@@ -481,9 +568,9 @@ TEST(NetClientTest, BusyRetryBacksOffUntilTheQueueDrains) {
   Client flooder = FloodServer(fx, 12);
 
   ClientOptions options;
-  // The flood holds ~600 ms of handler work, but on a loaded machine the
-  // single worker can fall far behind wall-clock — give the retry budget
-  // several times that headroom so exhaustion can't race the drain.
+  // Generous budget: after the gate opens the single worker must still
+  // drain the flood, and on a loaded machine it can fall far behind
+  // wall-clock — exhaustion must not race the drain.
   options.max_retries = 60;
   options.initial_backoff = std::chrono::milliseconds(40);
   options.max_backoff = std::chrono::milliseconds(100);
@@ -491,10 +578,19 @@ TEST(NetClientTest, BusyRetryBacksOffUntilTheQueueDrains) {
   Result<Client> client =
       Client::Connect("127.0.0.1", fx.server().port(), options);
   ASSERT_TRUE(client.ok()) << client.status();
+  // Open the gate only once the probe's first attempt has been turned
+  // away, so at least one retry is certain.
+  const uint64_t flood_rejected = fx.server().requests_rejected();
+  std::thread releaser([&] {
+    WaitUntil(
+        [&] { return fx.server().requests_rejected() > flood_rejected; });
+    fx.gate().Open();
+  });
 
   // First attempt lands while the flood still owns the queues -> BUSY ->
   // bounded jittered backoff until the worker drains it.
   Result<ir::QueryResult> result = client->Boolean("inverted");
+  releaser.join();
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(client->retries(), 0u);
   EXPECT_LE(client->retries(), options.max_retries);

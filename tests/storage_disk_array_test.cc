@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace duplex::storage {
 namespace {
 
@@ -154,6 +156,45 @@ TEST(DiskArrayTest, FragmentCountTracksHoles) {
   ASSERT_TRUE(array.Free(*a).ok());
   ASSERT_TRUE(array.Free(*c).ok());
   EXPECT_EQ(array.fragment_count(0), 2u);  // [0,8) and [16,64)
+}
+
+TEST(DiskArrayTest, FreeDropsTheRangesBytes) {
+  DiskArrayOptions o = SmallArray(1, 64);
+  o.block_size_bytes = 16;
+  o.materialize_payloads = true;
+  o.checksums = true;
+  DiskArray array(o);
+  Result<BlockRange> kept = array.AllocateOn(0, 2);
+  Result<BlockRange> freed = array.AllocateOn(0, 2);
+  ASSERT_TRUE(kept.ok() && freed.ok());
+  const std::string bytes(32, 'q');
+  for (const BlockRange& r : {*kept, *freed}) {
+    ASSERT_TRUE(array.device(0)
+                    ->Write(r.start, 0,
+                            reinterpret_cast<const uint8_t*>(bytes.data()),
+                            bytes.size())
+                    .ok());
+  }
+  EXPECT_EQ(array.base_device(0)->resident_blocks(), 4u);
+
+  ASSERT_TRUE(array.Free(*freed).ok());
+  // Memory follows the live chunks: only the kept range stays resident,
+  // and the freed one reads as zeros through the whole device stack.
+  EXPECT_EQ(array.base_device(0)->resident_blocks(), 2u);
+  std::string out(32, 'x');
+  ASSERT_TRUE(array.device(0)
+                  ->Read(freed->start, 0,
+                         reinterpret_cast<uint8_t*>(out.data()), out.size())
+                  .ok());
+  EXPECT_EQ(out, std::string(32, '\0'));
+  ASSERT_TRUE(array.device(0)
+                  ->Read(kept->start, 0,
+                         reinterpret_cast<uint8_t*>(out.data()), out.size())
+                  .ok());
+  EXPECT_EQ(out, bytes);
+  // A rejected free (double free) leaves whatever is stored alone.
+  EXPECT_FALSE(array.Free(*freed).ok());
+  EXPECT_EQ(array.base_device(0)->resident_blocks(), 2u);
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 # pool, concurrent facade, sharded index, cache stress) so every PR is
 # race-checked, then rebuild the recovery surface with ASan+UBSan
 # (-DDUPLEX_SANITIZE=address,undefined) — crash-path code runs rarely in
-# production, so memory errors there hide longest. Finishes with smoke
+# production, so memory errors there hide longest; the in-memory block
+# device rides that pass too, since its blocks are stored only up to
+# their written extent and a read past one is where an out-of-bounds
+# access would hide. Then the benchmark harness's self-test
+# (perfbench/run.py --selftest). Finishes with smoke
 # runs of the cache-sweep and compaction benches so BENCH_cache.json and
 # BENCH_compaction.json stay fresh, plus the read-path bench gate that
 # fails if the QueryExecutor seam regresses query throughput by >2%.
@@ -101,9 +105,12 @@ cmake --build build-ci-asan -j "$JOBS" --target \
   core_chunk_format_test net_frame_test \
   storage_superblock_test core_checkpoint_test \
   integration_checkpoint_crash_sweep_test \
-  integration_delta_crash_sweep_test
+  integration_delta_crash_sweep_test storage_block_device_test
 ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS" \
-  -R 'FaultSchedule|FaultInjecting|ChecksumBlockDevice|CrashSweep|ShardedRecovery|BatchLog|CompactionProperty|CodecRoundTrip|CodecFuzz|ChunkHeader|ChunkFormat|FrameHeader|FrameAssembler|PayloadCodec|SubmitLiveCodec|Checkpoint|Superblock'
+  -R 'FaultSchedule|FaultInjecting|ChecksumBlockDevice|CrashSweep|ShardedRecovery|BatchLog|CompactionProperty|CodecRoundTrip|CodecFuzz|ChunkHeader|ChunkFormat|FrameHeader|FrameAssembler|PayloadCodec|SubmitLiveCodec|Checkpoint|Superblock|MemBlockDevice'
+
+echo "=== Benchmark harness self-test (perfbench percentile/oracle/lateness) ==="
+python3 perfbench/run.py --selftest
 
 echo "=== Cache-sweep bench smoke (writes BENCH_cache.json) ==="
 DUPLEX_BENCH_UPDATES="${DUPLEX_BENCH_UPDATES:-6}" \
