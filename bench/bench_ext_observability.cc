@@ -26,7 +26,7 @@
 #include "bench/bench_common.h"
 #include "core/inverted_index.h"
 #include "core/sharded_index.h"
-#include "ir/query_eval.h"
+#include "ir/query_executor.h"
 #include "net/admin_server.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -320,7 +320,8 @@ int main() {
   auto run_queries = [&query_index, &queries] {
     for (int round = 0; round < kQueryRounds; ++round) {
       for (const auto& q : queries) {
-        Result<ir::QueryResult> r = ir::EvaluateBoolean(query_index, *q);
+        Result<ir::QueryResult> r =
+            ir::QueryExecutor(query_index).EvaluateBoolean(*q);
         if (!r.ok()) std::abort();
       }
     }

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "core/inverted_index.h"
-#include "ir/query_eval.h"
+#include "ir/query_executor.h"
 #include "util/random.h"
 
 namespace duplex {
@@ -87,7 +87,8 @@ core::InvertedIndex* BuildQueryIndex() {
 void BM_BooleanQuery(benchmark::State& state) {
   static core::InvertedIndex* index = BuildQueryIndex();
   for (auto _ : state) {
-    auto r = ir::EvaluateBoolean(*index, "(w0 AND w1) OR (w2 AND NOT w3)");
+    auto r = ir::QueryExecutor(*index).EvaluateBoolean(
+        "(w0 AND w1) OR (w2 AND NOT w3)");
     benchmark::DoNotOptimize(r);
     if (!r.ok()) std::abort();
   }

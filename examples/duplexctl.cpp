@@ -1,60 +1,59 @@
 // duplexctl — command-line front end for the duplex index: build an index
-// from text files, persist it as a snapshot, and query it later.
+// from text files, persist it as a checkpoint, and query it later.
 //
-//   duplexctl build <prefix> <file-or-dir>...   index documents, snapshot
-//   duplexctl query <prefix> "<boolean query>"  query a snapshot
-//   duplexctl stats <prefix>                    snapshot statistics
+//   duplexctl build <prefix> <file-or-dir>...   index documents, checkpoint
+//   duplexctl query <prefix> "<boolean query>"  query a checkpoint
+//   duplexctl stats <prefix>                    checkpoint statistics
 //   duplexctl scrub <prefix>                    verify checksums, repair
 //   duplexctl scrub-demo                        seeded corruption + scrub
 //   duplexctl compact <prefix>                  defragment long lists
 //   duplexctl compact-demo                      fragmentation + compaction
-//   duplexctl checkpoint <prefix>               snapshot -> durable checkpoint
 //   duplexctl recover-demo                      crash + fast-restart drill
 //   duplexctl metrics [out-dir]                 observed workload -> Prometheus
 //   duplexctl trace [out-dir]                   observed workload -> Chrome JSON
-//   duplexctl serve <prefix> <port>             serve a snapshot over TCP
 //   duplexctl net-ping <host> <port>            round-trip one ping frame
 //   duplexctl net-query <host> <port> "<q>"     boolean query over TCP
 //   duplexctl net-stats <host> <port>           server stats + metrics JSON
 //   duplexctl net-submit <host> <port> <file>.. submit documents over TCP
 //   duplexctl demo                              self-contained demo (default)
 //
+// The on-disk format is the one duplexd reads and writes: a checkpoint at
+// <prefix> (<prefix>.super plus the <prefix>.ckpt-<seq> manifest and its
+// -shard<k> images) and, when it exists, the WAL tail at <prefix>.wal.
+// `build` installs a checkpoint that `duplexd --checkpoint <prefix>`
+// serves; query/stats/scrub/compact recover whatever build or duplexd's
+// shutdown checkpoint left there. Both binaries use one index geometry
+// (core::ServingIndexOptions, 4 shards), so a checkpoint cut with another
+// duplexd --shards value is refused as FailedPrecondition.
+//
 // Global flags (before the command): --cache-blocks <n> puts a buffer
 // pool of n frames in front of the index's disks; --cache-mode
 // write-through|write-back picks when dirty frames reach them;
 // --fault-seed <n> seeds the deterministic fault schedule used by
-// scrub-demo (and enables device checksums for build/query/scrub).
+// scrub-demo.
 //
 // Each regular file becomes one document.
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/batch_log.h"
 #include "core/checkpoint.h"
-#include "core/concurrent_index.h"
 #include "core/directory.h"
 #include "core/inverted_index.h"
 #include "core/long_list_store.h"
 #include "core/scrub.h"
-#include "core/snapshot.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 #include "ir/query_workload.h"
 #include "net/admin_server.h"
 #include "net/client.h"
-#include "net/server.h"
-#include "net/service.h"
 #include "sim/observability.h"
 #include "storage/buffer_pool.h"
 #include "text/batch.h"
-#include "util/metrics.h"
 #include "util/random.h"
 
 namespace {
@@ -65,25 +64,35 @@ using namespace duplex;
 storage::BufferPoolOptions g_cache;
 uint64_t g_fault_seed = 1;
 
+// The serving geometry (shared with duplexd) plus the global cache flags.
 core::IndexOptions DefaultOptions() {
-  core::IndexOptions options;
-  options.buckets.num_buckets = 1024;
-  options.buckets.bucket_capacity = 512;
-  options.policy = core::Policy::RecommendedUpdateOptimized();
-  options.block_postings = 128;
-  options.disks.num_disks = 2;
-  options.disks.blocks_per_disk = 1 << 20;
-  // Always carry per-block checksums so `scrub` has a claim to verify and
-  // a read of a rotten block fails typed instead of returning garbage.
-  options.disks.checksums = true;
-  options.materialize = true;
-  options.bucket_grow_threshold = 0.85;
+  core::IndexOptions options = core::ServingIndexOptions();
   options.cache = g_cache;
   return options;
 }
 
+core::ShardedIndexOptions ServingOptions() {
+  return core::ShardedIndexOptions::Partition(DefaultOptions(),
+                                              core::kServingShards);
+}
+
+Result<core::CheckpointInfo> InstallCheckpoint(const core::ShardedIndex& index,
+                                               core::BatchLog* wal,
+                                               const std::string& prefix) {
+  core::CheckpointOptions options;
+  options.prefix = prefix;
+  return core::Checkpointer(options).Checkpoint(index, wal);
+}
+
 int Build(const std::string& prefix,
           const std::vector<std::string>& inputs) {
+  // A WAL at the prefix holds history past some earlier checkpoint; a
+  // fresh index installed over it would be replayed against that history.
+  if (fs::exists(prefix + ".wal")) {
+    std::cerr << prefix << ".wal exists; build writes a fresh index, "
+              << "pick another prefix\n";
+    return 1;
+  }
   std::vector<fs::path> files;
   for (const std::string& input : inputs) {
     std::error_code ec;
@@ -103,7 +112,7 @@ int Build(const std::string& prefix,
   }
   std::sort(files.begin(), files.end());
 
-  core::InvertedIndex index(DefaultOptions());
+  core::ShardedIndex index(ServingOptions());
   size_t indexed = 0;
   for (const fs::path& file : files) {
     std::ifstream in(file);
@@ -128,33 +137,62 @@ int Build(const std::string& prefix,
     std::cerr << "flush failed: " << s << "\n";
     return 1;
   }
-  if (Status s = core::Snapshot::Write(index, prefix); !s.ok()) {
-    std::cerr << "snapshot failed: " << s << "\n";
+  Result<core::CheckpointInfo> info =
+      InstallCheckpoint(index, /*wal=*/nullptr, prefix);
+  if (!info.ok()) {
+    std::cerr << "checkpoint failed: " << info.status() << "\n";
     return 1;
   }
   const core::IndexStats stats = index.Stats();
   std::cout << "indexed " << indexed << " documents, "
             << stats.total_postings << " postings ("
             << stats.bucket_words << " bucket words, " << stats.long_words
-            << " long words) -> " << prefix << ".postings/.dict\n";
+            << " long words) -> checkpoint " << info->install_seq << " at "
+            << prefix << " (" << index.num_shards() << " shards)\n";
   return 0;
 }
 
-duplex::Result<std::unique_ptr<core::InvertedIndex>> LoadIndex(
-    const std::string& prefix) {
-  auto index = std::make_unique<core::InvertedIndex>(DefaultOptions());
-  DUPLEX_RETURN_IF_ERROR(core::Snapshot::Load(prefix, index.get()));
-  return index;
+// An index recovered from the checkpoint at a prefix, with the WAL it
+// replayed (null when <prefix>.wal does not exist).
+struct OpenedIndex {
+  std::unique_ptr<core::ShardedIndex> index;
+  std::unique_ptr<core::BatchLog> wal;
+  core::RecoveryInfo recovery;
+};
+
+// Recovers the newest intact checkpoint at `prefix` plus the tail of
+// <prefix>.wal. A prefix with no superblock is refused up front, because
+// opening one creates it and a read must leave no file behind.
+Result<OpenedIndex> OpenIndex(const std::string& prefix) {
+  if (!fs::exists(prefix + ".super")) {
+    return Status::NotFound("no checkpoint at " + prefix + " (" + prefix +
+                            ".super does not exist)");
+  }
+  OpenedIndex opened;
+  if (fs::exists(prefix + ".wal")) {
+    Result<std::unique_ptr<core::BatchLog>> wal =
+        core::BatchLog::Open(prefix + ".wal");
+    if (!wal.ok()) return wal.status();
+    opened.wal = std::move(*wal);
+  }
+  opened.index = std::make_unique<core::ShardedIndex>(ServingOptions());
+  core::CheckpointOptions options;
+  options.prefix = prefix;
+  Result<core::RecoveryInfo> info = core::Checkpointer(options).Recover(
+      opened.index.get(), opened.wal.get());
+  if (!info.ok()) return info.status();
+  opened.recovery = std::move(*info);
+  return opened;
 }
 
 int Query(const std::string& prefix, const std::string& query) {
-  Result<std::unique_ptr<core::InvertedIndex>> index = LoadIndex(prefix);
-  if (!index.ok()) {
-    std::cerr << "cannot load snapshot: " << index.status() << "\n";
+  Result<OpenedIndex> opened = OpenIndex(prefix);
+  if (!opened.ok()) {
+    std::cerr << "cannot load checkpoint: " << opened.status() << "\n";
     return 1;
   }
   Result<ir::QueryResult> result =
-      ir::QueryExecutor(**index).EvaluateBoolean(query);
+      ir::QueryExecutor(*opened->index).EvaluateBoolean(query);
   if (!result.ok()) {
     std::cerr << "query error: " << result.status() << "\n";
     return 1;
@@ -171,56 +209,56 @@ int Query(const std::string& prefix, const std::string& query) {
 }
 
 int Stats(const std::string& prefix) {
-  Result<std::unique_ptr<core::SnapshotReader>> reader =
-      core::SnapshotReader::Open(prefix);
-  if (!reader.ok()) {
-    std::cerr << "cannot open snapshot: " << reader.status() << "\n";
+  Result<OpenedIndex> opened = OpenIndex(prefix);
+  if (!opened.ok()) {
+    std::cerr << "cannot load checkpoint: " << opened.status() << "\n";
     return 1;
   }
-  std::cout << "snapshot " << prefix << ": " << (*reader)->word_count()
+  const core::ShardedIndex& index = *opened->index;
+  const core::RecoveryInfo& recovery = opened->recovery;
+  std::cout << "checkpoint " << prefix << ": " << index.vocabulary().size()
             << " words, "
-            << ((*reader)->materialized() ? "materialized"
-                                          : "count-only")
-            << "\n";
-  Result<std::unique_ptr<core::InvertedIndex>> index = LoadIndex(prefix);
-  if (index.ok()) {
-    const core::IndexStats s = (*index)->Stats();
-    std::cout << "  postings " << s.total_postings << ", bucket words "
-              << s.bucket_words << ", long words " << s.long_words
-              << ", long-list utilization " << s.long_utilization << "\n";
-  }
+            << (index.options().shard.materialize ? "materialized"
+                                                  : "count-only")
+            << ", " << index.num_shards() << " shards\n"
+            << "  recovered (" << core::RecoveryModeName(recovery.mode) << "): "
+            << recovery.batches_replayed << " WAL batches replayed; "
+            << recovery.detail << "\n";
+  const core::IndexStats s = index.Stats();
+  std::cout << "  postings " << s.total_postings << ", bucket words "
+            << s.bucket_words << ", long words " << s.long_words
+            << ", long-list utilization " << s.long_utilization << "\n";
   return 0;
 }
 
 int Scrub(const std::string& prefix) {
-  Result<std::unique_ptr<core::InvertedIndex>> index = LoadIndex(prefix);
-  if (!index.ok()) {
-    std::cerr << "cannot load snapshot: " << index.status() << "\n";
+  Result<OpenedIndex> opened = OpenIndex(prefix);
+  if (!opened.ok()) {
+    std::cerr << "cannot load checkpoint: " << opened.status() << "\n";
     return 1;
   }
-  std::unique_ptr<core::BatchLog> wal;
-  if (fs::exists(prefix + ".wal")) {
-    Result<std::unique_ptr<core::BatchLog>> opened =
-        core::BatchLog::Open(prefix + ".wal");
-    if (!opened.ok()) {
-      std::cerr << "cannot open WAL: " << opened.status() << "\n";
+  core::ShardedIndex& index = *opened->index;
+  // Shards own disjoint words, so the per-shard reports add up.
+  core::ScrubReport total;
+  for (uint32_t k = 0; k < index.num_shards(); ++k) {
+    Result<core::ScrubReport> report =
+        index.shard(k).WithWrite([&](core::InvertedIndex& shard) {
+          return core::ScrubIndex(&shard, opened->wal.get());
+        });
+    if (!report.ok()) {
+      std::cerr << "scrub of shard " << k << " failed: " << report.status()
+                << "\n";
       return 1;
     }
-    wal = std::move(*opened);
+    total.Merge(*report);
   }
-  Result<core::ScrubReport> report =
-      core::ScrubIndex(index->get(), wal.get());
-  if (!report.ok()) {
-    std::cerr << "scrub failed: " << report.status() << "\n";
-    return 1;
-  }
-  std::cout << report->ToString() << "\n";
-  if (Status s = (*index)->VerifyIntegrity(); !s.ok()) {
+  std::cout << total.ToString() << "\n";
+  if (Status s = index.VerifyIntegrity(); !s.ok()) {
     std::cerr << "structural check failed: " << s << "\n";
     return 1;
   }
   std::cout << "structural check OK\n";
-  return report->quarantined.empty() ? 0 : 1;
+  return total.quarantined.empty() ? 0 : 1;
 }
 
 // Long-list fragmentation summary printed by `compact`/`compact-demo`.
@@ -229,23 +267,39 @@ struct FragReport {
   uint64_t chunks = 0;
   uint64_t blocks = 0;
   uint64_t postings = 0;
-  double utilization = 0.0;
+  uint64_t block_postings = 0;
+
+  void Add(const core::InvertedIndex& index) {
+    block_postings = index.options().block_postings;
+    for (const auto& [word, list] :
+         index.long_list_store().directory().lists()) {
+      ++long_lists;
+      chunks += list.chunks.size();
+      postings += list.total_postings;
+      for (const core::ChunkRef& chunk : list.chunks) {
+        blocks += chunk.range.length;
+      }
+    }
+  }
+  double utilization() const {
+    return blocks == 0 ? 0.0
+                       : static_cast<double>(postings) /
+                             static_cast<double>(blocks * block_postings);
+  }
 };
 
 FragReport Fragmentation(const core::InvertedIndex& index) {
   FragReport r;
-  const uint64_t bp = index.options().block_postings;
-  for (const auto& [word, list] : index.long_list_store().directory().lists()) {
-    ++r.long_lists;
-    r.chunks += list.chunks.size();
-    r.postings += list.total_postings;
-    for (const core::ChunkRef& chunk : list.chunks) {
-      r.blocks += chunk.range.length;
-    }
-  }
-  if (r.blocks > 0) {
-    r.utilization = static_cast<double>(r.postings) /
-                    static_cast<double>(r.blocks * bp);
+  r.Add(index);
+  return r;
+}
+
+FragReport Fragmentation(const core::ShardedIndex& index) {
+  FragReport r;
+  for (uint32_t k = 0; k < index.num_shards(); ++k) {
+    index.shard(k).WithRead([&](const core::InvertedIndex& shard) {
+      r.Add(shard);
+    });
   }
   return r;
 }
@@ -253,21 +307,23 @@ FragReport Fragmentation(const core::InvertedIndex& index) {
 void PrintFragReport(const char* label, const FragReport& r) {
   std::cout << label << ": " << r.long_lists << " long lists, " << r.chunks
             << " chunks, " << r.blocks << " blocks, utilization "
-            << r.utilization << "\n";
+            << r.utilization() << "\n";
 }
 
-// `duplexctl compact <prefix>`: load the snapshot, run compaction rounds
-// until no candidate remains, and write the defragmented index back.
+// `duplexctl compact <prefix>`: recover the checkpoint, run compaction
+// rounds until no candidate remains, and install the defragmented index
+// as the next checkpoint (which also trims <prefix>.wal to its tail).
 int Compact(const std::string& prefix) {
-  Result<std::unique_ptr<core::InvertedIndex>> index = LoadIndex(prefix);
-  if (!index.ok()) {
-    std::cerr << "cannot load snapshot: " << index.status() << "\n";
+  Result<OpenedIndex> opened = OpenIndex(prefix);
+  if (!opened.ok()) {
+    std::cerr << "cannot load checkpoint: " << opened.status() << "\n";
     return 1;
   }
-  PrintFragReport("before", Fragmentation(**index));
+  core::ShardedIndex& index = *opened->index;
+  PrintFragReport("before", Fragmentation(index));
   core::CompactionStats total;
   while (true) {
-    Result<core::CompactionStats> round = (*index)->CompactOnce();
+    Result<core::CompactionStats> round = index.CompactOnce();
     if (!round.ok()) {
       std::cerr << "compaction failed: " << round.status() << "\n";
       return 1;
@@ -275,22 +331,25 @@ int Compact(const std::string& prefix) {
     total.Merge(*round);
     if (!round->more_pending || round->lists_compacted == 0) break;
   }
-  PrintFragReport("after", Fragmentation(**index));
+  PrintFragReport("after", Fragmentation(index));
   std::cout << "compacted " << total.lists_compacted << " lists in "
             << total.rounds << " rounds: " << total.chunks_before << " -> "
             << total.chunks_after << " chunks, reclaimed "
             << total.blocks_reclaimed() << " blocks ("
             << total.read_ops << " reads, " << total.write_ops
             << " writes)\n";
-  if (Status s = (*index)->VerifyIntegrity(); !s.ok()) {
+  if (Status s = index.VerifyIntegrity(); !s.ok()) {
     std::cerr << "post-compaction integrity check failed: " << s << "\n";
     return 1;
   }
-  if (Status s = core::Snapshot::Write(**index, prefix); !s.ok()) {
-    std::cerr << "snapshot failed: " << s << "\n";
+  Result<core::CheckpointInfo> info =
+      InstallCheckpoint(index, opened->wal.get(), prefix);
+  if (!info.ok()) {
+    std::cerr << "checkpoint failed: " << info.status() << "\n";
     return 1;
   }
-  std::cout << "snapshot rewritten -> " << prefix << ".postings/.dict\n";
+  std::cout << "checkpoint " << info->install_seq << " installed at "
+            << prefix << "\n";
   return 0;
 }
 
@@ -356,7 +415,7 @@ int CompactDemo() {
   PrintFragReport("after", after);
   std::cout << "compacted " << total.lists_compacted << " lists, reclaimed "
             << total.blocks_reclaimed() << " blocks\n";
-  if (after.utilization <= before.utilization) {
+  if (after.utilization() <= before.utilization()) {
     std::cerr << "compaction did not improve utilization\n";
     return 1;
   }
@@ -524,44 +583,6 @@ int ScrubDemo() {
   return 0;
 }
 
-const char* RecoveryModeName(core::RecoveryMode mode) {
-  switch (mode) {
-    case core::RecoveryMode::kEmpty:
-      return "empty";
-    case core::RecoveryMode::kCheckpointTail:
-      return "checkpoint+tail";
-    case core::RecoveryMode::kFullRebuild:
-      return "full-rebuild";
-  }
-  return "unknown";
-}
-
-// Serialize a snapshot-built index into a durable checkpoint at the same
-// prefix: <prefix>.super (dual-slot superblock) + <prefix>.ckpt-<seq>
-// (image). duplexd --checkpoint <prefix> then restarts from it without
-// replaying any WAL history.
-int CheckpointCmd(const std::string& prefix) {
-  Result<std::unique_ptr<core::InvertedIndex>> index = LoadIndex(prefix);
-  if (!index.ok()) {
-    std::cerr << "cannot load snapshot: " << index.status() << "\n";
-    return 1;
-  }
-  core::CheckpointOptions options;
-  options.prefix = prefix;
-  core::Checkpointer checkpointer(options);
-  Result<core::CheckpointInfo> info =
-      checkpointer.Checkpoint(**index, /*log=*/nullptr);
-  if (!info.ok()) {
-    std::cerr << "checkpoint failed: " << info.status() << "\n";
-    return 1;
-  }
-  std::cout << "checkpoint " << info->install_seq << " installed: "
-            << info->payload_path << " (" << info->payload_bytes
-            << " bytes, WAL epoch " << info->wal_epoch << ")\n"
-            << "superblock: " << checkpointer.superblock_path() << "\n";
-  return 0;
-}
-
 // Self-contained crash + fast-restart drill: commit batches through the
 // WAL, checkpoint mid-history (which truncates the covered prefix), commit
 // more batches, then "crash" — drop every in-memory object — and recover a
@@ -664,7 +685,7 @@ int RecoverDemo() {
     return 1;
   }
   recovered = *info;
-  std::cout << "recovered (" << RecoveryModeName(recovered.mode) << "): "
+  std::cout << "recovered (" << core::RecoveryModeName(recovered.mode) << "): "
             << recovered.batches_replayed << " WAL batches replayed"
             << " (checkpoint epoch " << recovered.checkpoint_epoch << ")\n";
   if (recovered.mode != core::RecoveryMode::kCheckpointTail) {
@@ -822,67 +843,6 @@ int Observe(bool want_trace, std::string out_dir) {
   }
   std::cerr << "wrote metrics.prom, metrics.json, trace.json to " << out_dir
             << "\n";
-  return 0;
-}
-
-// --- TCP service ------------------------------------------------------------
-
-std::atomic<bool> g_shutdown{false};
-
-void HandleShutdownSignal(int) { g_shutdown.store(true); }
-
-// `duplexctl serve <prefix> <port>`: load the snapshot behind the
-// reader-writer facade and serve it until SIGINT/SIGTERM. Shutdown is
-// graceful: the server drains admitted requests, then Flush() folds any
-// submitted documents back into the snapshot files.
-int Serve(const std::string& prefix, uint16_t port) {
-  MetricsRegistry registry;
-  MetricsRegistry* previous = SetGlobalMetrics(&registry);
-
-  core::ConcurrentIndex index(DefaultOptions());
-  const Status loaded = index.WithWriteLock([&](core::InvertedIndex& idx) {
-    return core::Snapshot::Load(prefix, &idx);
-  });
-  if (!loaded.ok()) {
-    std::cerr << "cannot load snapshot: " << loaded << "\n";
-    SetGlobalMetrics(previous);
-    return 1;
-  }
-
-  net::ConcurrentIndexService service(&index, prefix);
-  net::ServerOptions options;
-  options.port = port;
-  net::Server server(&service, options);
-  if (Status s = server.Start(); !s.ok()) {
-    std::cerr << "cannot start server: " << s << "\n";
-    SetGlobalMetrics(previous);
-    return 1;
-  }
-  // The smoke test parses this line for the ephemeral port; keep the
-  // format stable and flush before blocking.
-  std::cout << "duplexctl serving " << prefix << " on port " << server.port()
-            << std::endl;
-
-  g_shutdown.store(false);
-  std::signal(SIGINT, HandleShutdownSignal);
-  std::signal(SIGTERM, HandleShutdownSignal);
-  while (!g_shutdown.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-
-  std::cout << "shutting down: draining requests\n";
-  server.Stop();
-  if (Status s = service.Flush(); !s.ok()) {
-    std::cerr << "flush on shutdown failed: " << s << "\n";
-    SetGlobalMetrics(previous);
-    return 1;
-  }
-  std::cout << "served " << server.requests_handled() << " requests ("
-            << server.requests_rejected() << " rejected), snapshot "
-            << "rewritten -> " << prefix << ".postings/.dict\n";
-  SetGlobalMetrics(previous);
   return 0;
 }
 
@@ -1046,9 +1006,9 @@ int Demo() {
   for (const auto& [name, text] : docs) {
     std::ofstream(dir + "/" + name) << text;
   }
-  // Keep the snapshot outside the indexed directory so re-running the
-  // demo does not index the snapshot files themselves.
-  const std::string prefix = dir + "_snapshot";
+  // Keep the checkpoint outside the indexed directory so re-running the
+  // demo does not index the checkpoint files themselves.
+  const std::string prefix = dir + "_checkpoint";
   std::cout << "== demo: build ==\n";
   if (int rc = Build(prefix, {dir}); rc != 0) return rc;
   std::cout << "\n== demo: query 'dog AND NOT fox' ==\n";
@@ -1095,15 +1055,7 @@ int main(int argc, char** argv) {
   if (args[0] == "scrub-demo" && args.size() == 1) return ScrubDemo();
   if (args[0] == "compact" && args.size() == 2) return Compact(args[1]);
   if (args[0] == "compact-demo" && args.size() == 1) return CompactDemo();
-  if (args[0] == "checkpoint" && args.size() == 2) {
-    return CheckpointCmd(args[1]);
-  }
   if (args[0] == "recover-demo" && args.size() == 1) return RecoverDemo();
-  if (args[0] == "serve" && args.size() == 3) {
-    return Serve(args[1],
-                 static_cast<uint16_t>(std::strtoul(args[2].c_str(),
-                                                    nullptr, 10)));
-  }
   if (args[0] == "net-ping" && args.size() == 3) {
     return NetPing(args[1], static_cast<uint16_t>(
                                 std::strtoul(args[2].c_str(), nullptr, 10)));
@@ -1175,11 +1127,9 @@ int main(int argc, char** argv) {
                "       duplexctl scrub-demo\n"
                "       duplexctl compact <prefix>\n"
                "       duplexctl compact-demo\n"
-               "       duplexctl checkpoint <prefix>\n"
                "       duplexctl recover-demo\n"
                "       duplexctl metrics [out-dir]\n"
                "       duplexctl trace [out-dir]\n"
-               "       duplexctl serve <prefix> <port>\n"
                "       duplexctl net-ping <host> <port>\n"
                "       duplexctl net-query <host> <port> \"<boolean query>\"\n"
                "       duplexctl net-stats <host> <port>\n"

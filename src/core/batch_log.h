@@ -173,7 +173,7 @@ class BatchLog {
   // history and are dropped. Ids keep counting from next_id().
   Status TruncateTo(uint64_t new_base);
 
-  // Drops all records (e.g. after a Snapshot made them redundant).
+  // Drops all records (e.g. after a checkpoint made them redundant).
   Status Truncate();
 
   // Arms fault injection on TruncateTo's physical steps (tmp-file chunk

@@ -616,13 +616,35 @@ Result<CheckpointInfo> Checkpointer::Checkpoint(const ShardedIndex& index,
   return out;
 }
 
+const char* RecoveryModeName(RecoveryMode mode) {
+  switch (mode) {
+    case RecoveryMode::kEmpty:
+      return "empty";
+    case RecoveryMode::kCheckpointTail:
+      return "checkpoint+tail";
+    case RecoveryMode::kFullRebuild:
+      return "full-rebuild";
+  }
+  return "unknown";
+}
+
 Result<RecoveryInfo> Checkpointer::RecoverWithoutCheckpoint(
-    BatchLog* log, bool superblock_seen, std::string detail,
+    BatchLog* log, const storage::Superblock& sb, std::string detail,
     const std::function<Status(uint64_t* replayed)>& replay) {
   RecoveryInfo info;
   info.detail = std::move(detail);
+  // Callers get here only after rejecting every intact install record.
+  const bool installs_rejected = !sb.ValidRecords().empty();
   if (log == nullptr ||
       (log->batches_logged() == 0 && log->base_epoch() == 0)) {
+    if (installs_rejected) {
+      // A checkpoint was installed, so the index held documents; with no
+      // WAL history to rebuild them from, an empty index would silently
+      // drop every one of them.
+      return Status::Corruption(
+          "every installed checkpoint was rejected and no WAL history "
+          "exists to rebuild from (" + info.detail + ")");
+    }
     info.mode = RecoveryMode::kEmpty;
     if (info.detail.empty()) info.detail = "nothing to recover";
     return info;
@@ -638,7 +660,7 @@ Result<RecoveryInfo> Checkpointer::RecoverWithoutCheckpoint(
   }
   info.mode = RecoveryMode::kFullRebuild;
   DUPLEX_RETURN_IF_ERROR(replay(&info.batches_replayed));
-  if (superblock_seen) {
+  if (installs_rejected || sb.slot_damage() > 0) {
     info.detail += (info.detail.empty() ? "" : "; ");
     info.detail += "fell back to full WAL rebuild";
   } else if (info.detail.empty()) {
@@ -695,8 +717,7 @@ Result<RecoveryInfo> Checkpointer::Recover(InvertedIndex* index,
     return info;
   }
   return RecoverWithoutCheckpoint(
-      log, /*superblock_seen=*/!records.empty() || (*sb)->slot_damage() > 0,
-      std::move(detail), [&](uint64_t* replayed) {
+      log, **sb, std::move(detail), [&](uint64_t* replayed) {
         DUPLEX_RETURN_IF_ERROR(log->ReplayInto(index));
         *replayed = log->batches_logged();
         return Status::OK();
@@ -800,8 +821,7 @@ Result<RecoveryInfo> Checkpointer::Recover(ShardedIndex* index,
     return info;
   }
   return RecoverWithoutCheckpoint(
-      log, /*superblock_seen=*/!records.empty() || (*sb)->slot_damage() > 0,
-      std::move(detail), [&](uint64_t* replayed) {
+      log, **sb, std::move(detail), [&](uint64_t* replayed) {
         uint64_t count = 0;
         DUPLEX_RETURN_IF_ERROR(
             log->ReplayFrom(0, [&](const BatchLog::LoggedBatch& batch) {

@@ -27,6 +27,9 @@ enum class RecoveryMode {
   kFullRebuild,
 };
 
+// "empty", "checkpoint+tail" or "full-rebuild", for logs and CLIs.
+const char* RecoveryModeName(RecoveryMode mode);
+
 struct RecoveryInfo {
   RecoveryMode mode = RecoveryMode::kEmpty;
   // WAL epoch of the checkpoint that was restored (kCheckpointTail only).
@@ -91,8 +94,8 @@ struct CheckpointInfo {
 // touching the index, replays the WAL tail from the image's epoch, and
 // degrades to a full WAL rebuild with a typed RecoveryInfo when no
 // candidate survives — never garbage: a damaged checkpoint plus a
-// truncated WAL is a typed kCorruption error, not a silently partial
-// index.
+// truncated or empty WAL is a typed kCorruption error, not a silently
+// partial or empty index.
 //
 // Single-writer by contract, like the Superblock underneath: one
 // Checkpointer per index at a time. For ShardedIndex the checkpoint runs
@@ -134,9 +137,10 @@ class Checkpointer {
                                        uint64_t epoch, BatchLog* log);
   // Shared degraded tail of both Recover overloads: no usable checkpoint
   // candidate; full WAL rebuild if the history is complete, typed error
-  // if it was truncated. `replay` runs the actual full replay.
+  // if it was truncated or if `sb` holds an intact install but the WAL
+  // holds nothing to rebuild from. `replay` runs the actual full replay.
   Result<RecoveryInfo> RecoverWithoutCheckpoint(
-      BatchLog* log, bool superblock_seen, std::string detail,
+      BatchLog* log, const storage::Superblock& sb, std::string detail,
       const std::function<Status(uint64_t* replayed)>& replay);
   // Best-effort: removes <base>.ckpt-* files not referenced by any valid
   // superblock slot (a file is referenced if it IS a slot's payload or a

@@ -17,7 +17,7 @@ namespace duplex::core {
 // the in-memory MemoryIndex (the delta tier of an immediate-visibility
 // ingest path), and MergingReader, which overlays N readers into one
 // view. ir::QueryExecutor is written against this interface only, so a
-// new backend (a network-attached index, a snapshot reader, a future
+// new backend (a network-attached index, a checkpoint reader, a future
 // delta+disk pair) plugs into every evaluator by implementing five
 // methods.
 //

@@ -12,10 +12,10 @@ namespace duplex::core {
 // One shard of the sharded dual-structure index: an InvertedIndex (which
 // already encapsulates exactly the per-shard state — bucket store,
 // long-list store, directory, disk array, trace) paired with its own
-// reader-writer lock. ShardedIndex composes N of these; ConcurrentIndex
-// is the degenerate single-shard case. The lock lives here rather than in
-// the facades so that "a batch applying on shard 2 never blocks queries
-// hitting shard 0" is a structural property, not a locking convention.
+// reader-writer lock. ShardedIndex composes N of these, and one shard is
+// the degenerate case. The lock lives here rather than in ShardedIndex so
+// that "a batch applying on shard 2 never blocks queries hitting shard 0"
+// is a structural property, not a locking convention.
 class IndexShard {
  public:
   explicit IndexShard(const IndexOptions& options) : index_(options) {}

@@ -183,10 +183,10 @@ class InvertedIndex : public IndexReader {
   Status GrowBuckets(uint32_t new_num_buckets,
                      uint64_t new_bucket_capacity);
 
-  // --- Snapshot restore hooks (used by core::Snapshot) ---------------------
+  // --- Checkpoint restore hooks (used by core::Checkpointer) ---------------
 
   // Reinstates one word's full posting list into the structure it lived in
-  // when the snapshot was taken: long lists are recreated through the
+  // when the checkpoint image was cut: long lists are recreated through the
   // policy path; bucket lists are inserted into h(w) (which may promote on
   // overflow if the bucket configuration shrank). No trace update is
   // recorded.

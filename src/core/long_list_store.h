@@ -63,7 +63,7 @@ struct LongListStoreOptions {
 // the affected word's list partially written; the store's structural
 // invariants still hold, and recovery follows the paper's restartable-
 // batch protocol — replay the batch from the write-ahead BatchLog
-// against the last Snapshot (see core/batch_log.h).
+// against the last checkpoint (see core/batch_log.h).
 class LongListStore {
  public:
   struct Counters {

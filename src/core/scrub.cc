@@ -68,6 +68,18 @@ std::string ScrubReport::ToString() const {
   return out;
 }
 
+void ScrubReport::Merge(const ScrubReport& other) {
+  words_scanned += other.words_scanned;
+  chunks_scanned += other.chunks_scanned;
+  blocks_scanned += other.blocks_scanned;
+  corrupt_blocks += other.corrupt_blocks;
+  corrupt_chunks += other.corrupt_chunks;
+  repaired.insert(repaired.end(), other.repaired.begin(),
+                  other.repaired.end());
+  quarantined.insert(quarantined.end(), other.quarantined.begin(),
+                     other.quarantined.end());
+}
+
 Result<ScrubReport> ScrubIndex(InvertedIndex* index, BatchLog* wal,
                                const ScrubOptions& options) {
   DUPLEX_CHECK(index != nullptr);

@@ -19,7 +19,7 @@ namespace duplex::core {
 // Coverage map: in this reproduction only long-list payloads are ever
 // physically written to the block devices — the bucket and directory
 // regions are shadow-paged allocations whose writes are trace events, and
-// their contents live in BucketStore/Directory memory, snapshot-protected.
+// their contents live in BucketStore/Directory memory, checkpoint-protected.
 // The long-list chunks therefore ARE the entire on-device checksum
 // surface, and a scrub that walks the directory walks everything.
 //
@@ -28,7 +28,7 @@ namespace duplex::core {
 // postings for the word account for exactly the directory's posting total,
 // the list is rewritten from the WAL through the normal write path (fresh
 // chunks, fresh checksums) and re-verified. Words the WAL cannot fully
-// reconstruct stay quarantined for a snapshot-based restore. Repair reads
+// reconstruct stay quarantined for a restore from a checkpoint. Repair reads
 // the WAL back one record at a time; a record damaged on disk fails the
 // scrub with Corruption rather than feeding it wrong postings.
 struct ScrubOptions {
@@ -47,6 +47,8 @@ struct ScrubReport {
 
   bool clean() const { return corrupt_blocks == 0; }
   std::string ToString() const;
+  // Adds another scrub's counts and word lists (e.g. another shard's).
+  void Merge(const ScrubReport& other);
 };
 
 // `wal` may be null (verification only). The index must be materialized

@@ -8,6 +8,22 @@
 
 namespace duplex::core {
 
+IndexOptions ServingIndexOptions() {
+  IndexOptions total;
+  total.buckets.num_buckets = 1024;
+  total.buckets.bucket_capacity = 512;
+  total.policy = Policy::RecommendedUpdateOptimized();
+  total.block_postings = 128;
+  total.disks.num_disks = 2;
+  total.disks.blocks_per_disk = 1 << 20;
+  // Per-block checksums give `duplexctl scrub` a claim to verify, and a
+  // read of a rotten block fails typed instead of returning garbage.
+  total.disks.checksums = true;
+  total.materialize = true;
+  total.bucket_grow_threshold = 0.85;
+  return total;
+}
+
 ShardedIndexOptions ShardedIndexOptions::Partition(const IndexOptions& total,
                                                    uint32_t num_shards,
                                                    uint32_t threads) {

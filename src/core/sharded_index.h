@@ -58,6 +58,15 @@ struct ShardedIndexOptions {
                                        uint32_t threads = 0);
 };
 
+// Shard count duplexd serves with unless told otherwise (--shards).
+inline constexpr uint32_t kServingShards = 4;
+
+// The index geometry duplexd serves and duplexctl builds, recovers and
+// checkpoints, as one unsharded total for ShardedIndexOptions::Partition
+// to split. One definition, so a checkpoint either binary installs passes
+// the other's geometry check.
+IndexOptions ServingIndexOptions();
+
 // The word-partitioned dual-structure index: N independent IndexShards
 // (each a full InvertedIndex — bucket store, long-list store, directory,
 // disk array, I/O trace — behind its own reader-writer lock) with the

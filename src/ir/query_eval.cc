@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/query_executor.h"
-
 namespace duplex::ir {
 
 std::vector<DocId> Intersect(const std::vector<DocId>& a,
@@ -42,29 +40,6 @@ std::vector<DocId> Difference(const std::vector<DocId>& a,
   std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                       std::back_inserter(out));
   return out;
-}
-
-// The per-index-type overloads survive as forwarding shims so existing
-// call sites keep compiling; QueryExecutor is the single implementation.
-
-Result<QueryResult> EvaluateBoolean(const core::InvertedIndex& index,
-                                    const BooleanQuery& query) {
-  return QueryExecutor(index).EvaluateBoolean(query);
-}
-
-Result<QueryResult> EvaluateBoolean(const core::InvertedIndex& index,
-                                    std::string_view query_text) {
-  return QueryExecutor(index).EvaluateBoolean(query_text);
-}
-
-Result<QueryResult> EvaluateBoolean(const core::ShardedIndex& index,
-                                    const BooleanQuery& query) {
-  return QueryExecutor(index).EvaluateBoolean(query);
-}
-
-Result<QueryResult> EvaluateBoolean(const core::ShardedIndex& index,
-                                    std::string_view query_text) {
-  return QueryExecutor(index).EvaluateBoolean(query_text);
 }
 
 }  // namespace duplex::ir

@@ -3,10 +3,6 @@
 
 #include <vector>
 
-#include "core/inverted_index.h"
-#include "core/sharded_index.h"
-#include "ir/boolean_query.h"
-#include "util/status.h"
 #include "util/types.h"
 
 namespace duplex::ir {
@@ -31,26 +27,6 @@ struct QueryResult {
   // (logical reads that cost no disk arm movement). 0 without a cache.
   uint64_t cached_read_ops = 0;
 };
-
-// Evaluates a boolean query against a materialized index. Unknown terms
-// evaluate to the empty list. These overloads forward to ir::QueryExecutor
-// (see ir/query_executor.h), the single evaluator implementation; prefer
-// constructing an executor directly for new code.
-Result<QueryResult> EvaluateBoolean(const core::InvertedIndex& index,
-                                    const BooleanQuery& query);
-
-// Convenience: parse + evaluate.
-Result<QueryResult> EvaluateBoolean(const core::InvertedIndex& index,
-                                    std::string_view query_text);
-
-// Sharded fan-out: each term's Locate/GetPostings goes to the owning
-// shard (taking only that shard's shared lock), and the per-term lists
-// merge exactly as in the unsharded evaluator — results are bit-identical
-// to evaluating against an equivalent unsharded index.
-Result<QueryResult> EvaluateBoolean(const core::ShardedIndex& index,
-                                    const BooleanQuery& query);
-Result<QueryResult> EvaluateBoolean(const core::ShardedIndex& index,
-                                    std::string_view query_text);
 
 }  // namespace duplex::ir
 

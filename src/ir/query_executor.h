@@ -39,9 +39,9 @@ struct CostAccumulator {
 
 // The one place queries are parsed, planned, and evaluated. An executor
 // wraps any core::IndexReader — InvertedIndex, ShardedIndex, MemoryIndex,
-// or a MergingReader overlay — and every public Evaluate* entry point in
-// ir/ is a thin forwarder onto it. The executor borrows the reader (no
-// ownership); it is cheap to construct per query or keep around.
+// or a MergingReader overlay — and is the only query entry point in ir/.
+// The executor borrows the reader (no ownership); it is cheap to
+// construct per query or keep around.
 //
 // Instrumentation: boolean evaluations record the duplex_ir_* metric
 // families and emit a sampled "ir.query" trace span exactly as the

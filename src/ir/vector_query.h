@@ -4,9 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/inverted_index.h"
-#include "core/sharded_index.h"
-#include "util/status.h"
 #include "util/types.h"
 
 namespace duplex::ir {
@@ -38,19 +35,6 @@ struct VectorQueryResult {
   // term sequences report identical costs across both query kinds.
   uint64_t cached_read_ops = 0;
 };
-
-// Evaluates a vector query, returning the k highest-scored documents.
-// `total_docs` calibrates idf = log(1 + N/df); pass index.next_doc_id().
-Result<VectorQueryResult> EvaluateVector(const core::InvertedIndex& index,
-                                         const VectorQuery& query,
-                                         size_t k, uint64_t total_docs);
-
-// Sharded fan-out: each term is fetched from its owning shard under that
-// shard's shared lock only; scores accumulate identically to the
-// unsharded path.
-Result<VectorQueryResult> EvaluateVector(const core::ShardedIndex& index,
-                                         const VectorQuery& query,
-                                         size_t k, uint64_t total_docs);
 
 }  // namespace duplex::ir
 

@@ -1,6 +1,5 @@
 #include "net/service.h"
 
-#include "core/snapshot.h"
 #include "ir/query_executor.h"
 #include "util/metrics.h"
 
@@ -205,51 +204,6 @@ Status ShardedIndexService::Flush() {
   uint64_t batch_id = 0;
   DUPLEX_RETURN_IF_ERROR(index_->FlushDocumentsLogged(wal_, &batch_id));
   return index_->FlushCaches();
-}
-
-// --- ConcurrentIndexService -------------------------------------------------
-
-Result<ir::QueryResult> ConcurrentIndexService::Boolean(
-    std::string_view query) {
-  return index_->WithReadLock([&](const core::InvertedIndex& index) {
-    return ir::QueryExecutor(index).EvaluateBoolean(query);
-  });
-}
-
-Result<ir::VectorQueryResult> ConcurrentIndexService::Vector(
-    const ir::VectorQuery& query, size_t k) {
-  return index_->WithReadLock([&](const core::InvertedIndex& index) {
-    return ir::QueryExecutor(index).EvaluateVector(query, k,
-                                                   index.next_doc_id());
-  });
-}
-
-Result<SubmitDocumentsResponse> ConcurrentIndexService::Submit(
-    const std::vector<std::string>& documents) {
-  return index_->WithWriteLock(
-      [&](core::InvertedIndex& index) -> Result<SubmitDocumentsResponse> {
-        SubmitDocumentsResponse resp;
-        resp.first_doc = index.AddDocument(documents.front());
-        for (size_t i = 1; i < documents.size(); ++i) {
-          index.AddDocument(documents[i]);
-        }
-        resp.accepted = static_cast<uint32_t>(documents.size());
-        DUPLEX_RETURN_IF_ERROR(index.FlushDocuments());
-        return resp;
-      });
-}
-
-std::string ConcurrentIndexService::StatsJson() {
-  return BuildStatsJson(index_->Stats());
-}
-
-Status ConcurrentIndexService::Flush() {
-  DUPLEX_RETURN_IF_ERROR(index_->FlushDocuments());
-  DUPLEX_RETURN_IF_ERROR(index_->FlushCaches());
-  if (snapshot_prefix_.empty()) return Status::OK();
-  return index_->WithWriteLock([&](core::InvertedIndex& index) {
-    return core::Snapshot::Write(index, snapshot_prefix_);
-  });
 }
 
 }  // namespace duplex::net

@@ -8,7 +8,6 @@
 
 #include "core/batch_log.h"
 #include "core/checkpoint.h"
-#include "core/concurrent_index.h"
 #include "core/live_index.h"
 #include "core/sharded_index.h"
 #include "net/frame.h"
@@ -120,32 +119,6 @@ class ShardedIndexService : public IndexService {
   core::BatchLog* wal_;
   core::LiveIndex* live_;
   std::mutex submit_mutex_;
-};
-
-// Service over a snapshot-loaded single InvertedIndex behind the
-// ConcurrentIndex reader-writer facade — the `duplexctl serve <prefix>`
-// backend. Queries share the read lock; submits take the write lock.
-// Durability is snapshot-based: Flush() drains buffered documents and, if
-// a snapshot prefix is set, rewrites the snapshot on shutdown.
-class ConcurrentIndexService : public IndexService {
- public:
-  ConcurrentIndexService(core::ConcurrentIndex* index,
-                         std::string snapshot_prefix)
-      : index_(index), snapshot_prefix_(std::move(snapshot_prefix)) {}
-
-  Status Flush() override;
-
- protected:
-  Result<ir::QueryResult> Boolean(std::string_view query) override;
-  Result<ir::VectorQueryResult> Vector(const ir::VectorQuery& query,
-                                       size_t k) override;
-  Result<SubmitDocumentsResponse> Submit(
-      const std::vector<std::string>& documents) override;
-  std::string StatsJson() override;
-
- private:
-  core::ConcurrentIndex* index_;
-  std::string snapshot_prefix_;
 };
 
 }  // namespace duplex::net

@@ -47,10 +47,10 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-// Fixed log-bucketed latency histogram, safe for hot paths — unlike the
-// exact-values util::Histogram, Record() is one branch plus a handful of
-// relaxed atomic adds, allocates nothing, and the memory footprint is
-// constant. Values are non-negative integers (nanoseconds by convention).
+// Fixed log-bucketed latency histogram, safe for hot paths: Record() is
+// one branch plus a handful of relaxed atomic adds, keeps no samples,
+// allocates nothing, and the memory footprint is constant. Values are
+// non-negative integers (nanoseconds by convention).
 //
 // Bucket b holds values whose bit width is b: bucket 0 is exactly {0},
 // bucket b >= 1 is [2^(b-1), 2^b - 1]. Boundaries are pure integer

@@ -384,6 +384,27 @@ TEST_F(CheckpointTest, DamagedImagePlusTruncatedWalIsTypedCorruption) {
   EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
 }
 
+// Rejecting every installed checkpoint with no WAL history to rebuild
+// from must fail typed: the install proves the index held documents, so
+// an empty index would silently lose all of them.
+TEST_F(CheckpointTest, DamagedImageWithoutWalHistoryIsTypedCorruption) {
+  InvertedIndex index(SmallOptions());
+  ASSERT_TRUE(index.ApplyInvertedBatch(MakeBatches(1, 73).front()).ok());
+  Checkpointer checkpointer = MakeCheckpointer();
+  Result<CheckpointInfo> info = checkpointer.Checkpoint(index, nullptr);
+  ASSERT_TRUE(info.ok()) << info.status();
+  CorruptFile(info->payload_path);
+
+  InvertedIndex without_log(SmallOptions());
+  Result<RecoveryInfo> rec = checkpointer.Recover(&without_log, nullptr);
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+
+  InvertedIndex with_empty_log(SmallOptions());
+  std::unique_ptr<BatchLog> log = OpenLog();
+  rec = checkpointer.Recover(&with_empty_log, log.get());
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+}
+
 TEST_F(CheckpointTest, GeometryMismatchIsFailedPrecondition) {
   InvertedIndex index(SmallOptions());
   Checkpointer checkpointer = MakeCheckpointer();
@@ -528,6 +549,25 @@ TEST_F(CheckpointTest, ShardedDamagedShardImageFallsBackToFullRebuild) {
     ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
     if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
   }
+}
+
+// An unsharded image under the superblock is an intact install that the
+// sharded overload rejects (the payload is not a manifest). With no WAL
+// history that is typed Corruption, never an empty index served as OK.
+TEST_F(CheckpointTest, ShardedRejectedInstallWithoutWalIsTypedCorruption) {
+  InvertedIndex unsharded(SmallOptions());
+  ASSERT_TRUE(unsharded.ApplyInvertedBatch(MakeBatches(1, 79).front()).ok());
+  Checkpointer checkpointer = MakeCheckpointer();
+  ASSERT_TRUE(checkpointer.Checkpoint(unsharded, nullptr).ok());
+
+  ShardedIndex without_log(ShardedOptions());
+  Result<RecoveryInfo> rec = checkpointer.Recover(&without_log, nullptr);
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+
+  ShardedIndex with_empty_log(ShardedOptions());
+  std::unique_ptr<BatchLog> log = OpenLog();
+  rec = checkpointer.Recover(&with_empty_log, log.get());
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
 }
 
 // TSan target: checkpoints run against a quiesced view while reader

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/inverted_index.h"
-#include "ir/query_eval.h"
+#include "ir/query_executor.h"
 
 namespace duplex::core {
 namespace {
@@ -88,7 +88,7 @@ TEST(BufferedSearchTest, MergesDiskAndMemoryPostings) {
   EXPECT_EQ(*docs, (std::vector<DocId>{0, 1, 2}));
   // Boolean queries see the merged view too.
   Result<ir::QueryResult> r =
-      ir::EvaluateBoolean(index, "shared AND gamma");
+      ir::QueryExecutor(index).EvaluateBoolean("shared AND gamma");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->docs, (std::vector<DocId>{2}));
 }

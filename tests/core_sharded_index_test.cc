@@ -7,8 +7,7 @@
 
 #include "core/inverted_index.h"
 #include "storage/buffer_pool.h"
-#include "ir/query_eval.h"
-#include "ir/vector_query.h"
+#include "ir/query_executor.h"
 #include "text/shard_partition.h"
 #include "util/random.h"
 
@@ -204,14 +203,14 @@ TEST(ShardedIndexTest, BooleanAndVectorQueriesFanOut) {
   index.AddDocument("cat");
   ASSERT_TRUE(index.FlushDocuments().ok());
   const Result<ir::QueryResult> boolean =
-      ir::EvaluateBoolean(index, "cat AND NOT dog");
+      ir::QueryExecutor(index).EvaluateBoolean("cat AND NOT dog");
   ASSERT_TRUE(boolean.ok());
   EXPECT_EQ(boolean->docs, (std::vector<DocId>{2}));
 
   ir::VectorQuery vq;
   vq.terms = {{"fish", 1.0}, {"dog", 1.0}};
   const Result<ir::VectorQueryResult> vector =
-      ir::EvaluateVector(index, vq, 2, index.next_doc_id());
+      ir::QueryExecutor(index).EvaluateVector(vq, 2, index.next_doc_id());
   ASSERT_TRUE(vector.ok());
   ASSERT_EQ(vector->top.size(), 2u);
   EXPECT_EQ(vector->top[0].doc, 0u);  // fish + dog outranks dog alone
@@ -232,8 +231,10 @@ TEST(ShardedIndexTest, QueriesMatchUnshardedEvaluator) {
   for (const char* q :
        {"quick AND dog", "the OR fox", "(quick OR lazy) AND NOT dog",
         "fox AND NOT (the OR quick)"}) {
-    const Result<ir::QueryResult> a = ir::EvaluateBoolean(unsharded, q);
-    const Result<ir::QueryResult> b = ir::EvaluateBoolean(sharded, q);
+    const Result<ir::QueryResult> a =
+        ir::QueryExecutor(unsharded).EvaluateBoolean(q);
+    const Result<ir::QueryResult> b =
+        ir::QueryExecutor(sharded).EvaluateBoolean(q);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->docs, b->docs) << q;

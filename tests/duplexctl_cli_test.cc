@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace duplex {
 namespace {
@@ -61,8 +62,8 @@ class DuplexctlTest : public ::testing::Test {
 
 TEST_F(DuplexctlTest, BuildCreatesSnapshotFiles) {
   ASSERT_EQ(Build(), 0) << ReadAll(dir_ + "/build.out");
-  EXPECT_TRUE(fs::exists(prefix_ + ".postings"));
-  EXPECT_TRUE(fs::exists(prefix_ + ".dict"));
+  EXPECT_TRUE(fs::exists(prefix_ + ".super"));
+  EXPECT_TRUE(fs::exists(prefix_ + ".ckpt-1"));
   const std::string log = ReadAll(dir_ + "/build.out");
   EXPECT_NE(log.find("indexed 3 documents"), std::string::npos) << log;
 }
@@ -93,6 +94,69 @@ TEST_F(DuplexctlTest, QueryMissingSnapshotFails) {
   EXPECT_NE(RunShell(std::string(DUPLEXCTL_BIN) + " query " + dir_ +
                      "/nope \"cat\" > /dev/null 2>&1"),
             0);
+}
+
+// Reads of a prefix holding no checkpoint fail and leave no file behind
+// (opening a superblock would create one).
+TEST_F(DuplexctlTest, MissingCheckpointFailsAndCreatesNoFile) {
+  const std::string missing = dir_ + "/nope";
+  for (const std::string command : {"query", "stats", "scrub"}) {
+    const std::string args =
+        command == "query" ? missing + " \"cat\"" : missing;
+    EXPECT_NE(RunShell(std::string(DUPLEXCTL_BIN) + " " + command + " " +
+                       args + " > /dev/null 2>&1"),
+              0)
+        << command;
+  }
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().filename().string().rfind("nope", 0), 0u)
+        << entry.path();
+  }
+}
+
+// Compaction rewrites long-list chunks, never their postings: every query
+// answers the same document list before and after `compact`.
+TEST_F(DuplexctlTest, CompactKeepsQueryAnswers) {
+  // Enough documents that the frequent words overflow their buckets and
+  // grow long lists across several 64-document batches.
+  fs::create_directories(dir_ + "/many");
+  const char* kWords[] = {"alpha", "beta", "gamma", "delta"};
+  for (int d = 0; d < 640; ++d) {
+    std::ostringstream text;
+    text << "common";
+    for (int w = 0; w < 4; ++w) {
+      if (d % (w + 2) == 0) text << " " << kWords[w];
+    }
+    char name[32];
+    std::snprintf(name, sizeof(name), "/many/%04d.txt", d);
+    std::ofstream(dir_ + name) << text.str();
+  }
+  ASSERT_EQ(RunShell(std::string(DUPLEXCTL_BIN) + " build " + prefix_ + " " +
+                     dir_ + "/many > " + dir_ + "/build.out 2>&1"),
+            0)
+      << ReadAll(dir_ + "/build.out");
+  const std::vector<std::string> queries = {
+      "common", "alpha AND beta", "gamma OR delta", "common AND NOT alpha"};
+  // The document list follows "):"; the read count before it may shrink.
+  const auto answers = [&] {
+    std::vector<std::string> out;
+    for (const std::string& q : queries) {
+      const std::string result = Query(q);
+      out.push_back(result.substr(result.find("):")));
+    }
+    return out;
+  };
+  const std::vector<std::string> before = answers();
+  EXPECT_NE(before[0].find(" 639\n"), std::string::npos) << before[0];
+
+  const std::string out = dir_ + "/compact.out";
+  ASSERT_EQ(RunShell(std::string(DUPLEXCTL_BIN) + " compact " + prefix_ +
+                     " > " + out + " 2>&1"),
+            0)
+      << ReadAll(out);
+  EXPECT_NE(ReadAll(out).find("compacted"), std::string::npos)
+      << ReadAll(out);
+  EXPECT_EQ(answers(), before);
 }
 
 TEST_F(DuplexctlTest, UsageOnBadArguments) {

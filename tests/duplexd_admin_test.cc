@@ -5,7 +5,9 @@
 // with history answers 503 (recovering) while the recovery ladder runs,
 // 200 once the request listener serves, and 503 (draining) again between
 // SIGTERM and exit — the signal a load balancer needs to route around
-// restarts without dropping requests.
+// restarts without dropping requests. The cross-binary tests pin the one
+// on-disk format: what `duplexctl build` installs, duplexd serves, and
+// what duplexd's shutdown checkpoint leaves, duplexctl reads.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,7 +141,21 @@ class DuplexdAdminTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  // Runs duplexctl with `args` (shell-quoted by the caller); returns its
+  // exit status and leaves stdout + stderr in ctl_out_.
+  int Ctl(const std::string& args) {
+    const std::string out = dir_ + "/ctl.out";
+    const int rc = std::system(
+        (std::string(DUPLEXCTL_BIN) + " " + args + " > " + out + " 2>&1")
+            .c_str());
+    std::ifstream in(out);
+    ctl_out_.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    return rc;
+  }
+
   std::string dir_;
+  std::string ctl_out_;
 };
 
 TEST_F(DuplexdAdminTest, ServesAllEndpointsWhileRunning) {
@@ -286,6 +303,71 @@ TEST_F(DuplexdAdminTest, DuplexctlFetchesAdminEndpoints) {
 
   daemon.Terminate();
   EXPECT_EQ(daemon.WaitExit(), 0);
+}
+
+// The offline build and the daemon share one format: duplexd started on
+// the prefix `duplexctl build` wrote serves the built documents.
+TEST_F(DuplexdAdminTest, DuplexdServesWhatDuplexctlBuilt) {
+  const std::string prefix = dir_ + "/built";
+  ASSERT_EQ(Ctl("build " + prefix + " " + dir_ + "/docs"), 0) << ctl_out_;
+
+  DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--checkpoint", prefix});
+  ASSERT_TRUE(daemon.alive());
+  const uint16_t port = daemon.ReadPortLine("duplexd listening on port ");
+  ASSERT_NE(port, 0);
+  // Files are indexed in sorted path order: a=0, b=1, c=2.
+  ASSERT_EQ(Ctl("net-query 127.0.0.1 " + std::to_string(port) +
+                " \"lists AND NOT buckets\""),
+            0)
+      << ctl_out_;
+  EXPECT_NE(ctl_out_.find("2 matching documents"), std::string::npos)
+      << ctl_out_;
+  EXPECT_NE(ctl_out_.find("): 0 2\n"), std::string::npos) << ctl_out_;
+
+  daemon.Terminate();
+  EXPECT_EQ(daemon.WaitExit(), 0);
+}
+
+// The other direction: duplexd's SIGTERM shutdown checkpoint, including a
+// document submitted over the wire, is what duplexctl query and stats read.
+TEST_F(DuplexdAdminTest, ShutdownCheckpointIsReadableByDuplexctl) {
+  const std::string prefix = dir_ + "/served";
+  DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--wal", prefix + ".wal",
+                     "--checkpoint", prefix, dir_ + "/docs"});
+  ASSERT_TRUE(daemon.alive());
+  const uint16_t port = daemon.ReadPortLine("duplexd listening on port ");
+  ASSERT_NE(port, 0);
+  std::ofstream(dir_ + "/late.txt") << "a late document about buckets";
+  ASSERT_EQ(Ctl("net-submit 127.0.0.1 " + std::to_string(port) + " " +
+                dir_ + "/late.txt"),
+            0)
+      << ctl_out_;
+  daemon.Terminate();
+  ASSERT_EQ(daemon.WaitExit(), 0);
+
+  ASSERT_EQ(Ctl("query " + prefix + " buckets"), 0) << ctl_out_;
+  EXPECT_NE(ctl_out_.find("2 matching documents"), std::string::npos)
+      << ctl_out_;
+  EXPECT_NE(ctl_out_.find("): 1 3\n"), std::string::npos) << ctl_out_;
+  ASSERT_EQ(Ctl("stats " + prefix), 0) << ctl_out_;
+  EXPECT_NE(ctl_out_.find("materialized"), std::string::npos) << ctl_out_;
+  EXPECT_NE(ctl_out_.find("4 shards"), std::string::npos) << ctl_out_;
+}
+
+// duplexctl reads the serving geometry (4 shards); a checkpoint cut by a
+// duplexd with another --shards value is refused typed, not misread.
+TEST_F(DuplexdAdminTest, OtherShardCountCheckpointIsRefused) {
+  const std::string prefix = dir_ + "/two";
+  DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--shards", "2",
+                     "--checkpoint", prefix, dir_ + "/docs"});
+  ASSERT_TRUE(daemon.alive());
+  ASSERT_NE(daemon.ReadPortLine("duplexd listening on port "), 0);
+  daemon.Terminate();
+  ASSERT_EQ(daemon.WaitExit(), 0);
+
+  EXPECT_NE(Ctl("query " + prefix + " lists"), 0) << ctl_out_;
+  EXPECT_NE(ctl_out_.find("FailedPrecondition"), std::string::npos)
+      << ctl_out_;
 }
 
 }  // namespace

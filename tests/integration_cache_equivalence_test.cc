@@ -16,7 +16,7 @@
 
 #include "core/batch_log.h"
 #include "core/inverted_index.h"
-#include "core/snapshot.h"
+#include "core/checkpoint.h"
 #include "ir/query_eval.h"
 #include "sim/pipeline.h"
 #include "storage/buffer_pool.h"
@@ -203,10 +203,17 @@ class CacheCrashRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { Cleanup(); }
   void Cleanup() {
-    for (const char* suffix : {".postings", ".dict", ".wal"}) {
+    for (const char* suffix : {".super", ".ckpt-1", ".wal"}) {
       std::remove((prefix_ + suffix).c_str());
     }
   }
+
+  core::Checkpointer MakeCheckpointer() const {
+    core::CheckpointOptions options;
+    options.prefix = prefix_;
+    return core::Checkpointer(options);
+  }
+
   std::string prefix_;
 };
 
@@ -226,8 +233,8 @@ TEST_F(CacheCrashRecoveryTest, WriteBackRecoversToUncachedState) {
   }
 
   // Day 1: write-back index runs the full commit protocol (append, apply,
-  // flush dirty frames, commit) for all but the last batch, snapshots,
-  // truncates the log, appends the last batch — and "crashes" before
+  // flush dirty frames, commit) for all but the last batch, checkpoints
+  // (which truncates the log), appends the last batch — and "crashes" before
   // applying it (the index object, its devices, and every dirty frame in
   // the pool are simply dropped).
   {
@@ -241,16 +248,15 @@ TEST_F(CacheCrashRecoveryTest, WriteBackRecoversToUncachedState) {
     }
     // ApplyLogged flushed dirty frames before each commit record.
     EXPECT_GT(index.cache_stats().dirty_writebacks, 0u);
-    ASSERT_TRUE(core::Snapshot::Write(index, prefix_).ok());
-    ASSERT_TRUE((*log)->Truncate().ok());
+    ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log->get()).ok());
     ASSERT_TRUE((*log)->AppendBatch(batches.back()).ok());
   }
 
-  // Recovery: restore the snapshot into a fresh write-back index and
+  // Recovery: restore the checkpoint into a fresh write-back index and
   // replay the unapplied tail (RecoverInto flushes caches before every
   // commit record, same as ApplyLogged).
   core::InvertedIndex recovered(cached_options());
-  ASSERT_TRUE(core::Snapshot::Load(prefix_, &recovered).ok());
+  ASSERT_TRUE(MakeCheckpointer().Recover(&recovered, /*log=*/nullptr).ok());
   Result<std::unique_ptr<core::BatchLog>> log =
       core::BatchLog::Open(prefix_ + ".wal");
   ASSERT_TRUE(log.ok());

@@ -8,8 +8,8 @@
 
 #include "core/batch_log.h"
 #include "core/inverted_index.h"
-#include "core/snapshot.h"
-#include "ir/query_eval.h"
+#include "core/checkpoint.h"
+#include "ir/query_executor.h"
 #include "sim/pipeline.h"
 
 namespace duplex {
@@ -136,7 +136,7 @@ class MaintenanceCycleTest : public ::testing::Test {
   }
   void TearDown() override { Cleanup(); }
   void Cleanup() {
-    for (const char* suffix : {".postings", ".dict", ".wal"}) {
+    for (const char* suffix : {".super", ".ckpt-1", ".wal"}) {
       std::remove((prefix_ + suffix).c_str());
     }
   }
@@ -152,6 +152,12 @@ class MaintenanceCycleTest : public ::testing::Test {
     o.disks.block_size_bytes = 128;
     o.materialize = true;
     return o;
+  }
+
+  core::Checkpointer MakeCheckpointer() const {
+    core::CheckpointOptions options;
+    options.prefix = prefix_;
+    return core::Checkpointer(options);
   }
 
   std::string prefix_;
@@ -177,8 +183,8 @@ TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
       ASSERT_TRUE(index.ApplyInvertedBatch(batch).ok());
       ASSERT_TRUE((*log)->MarkApplied(*id).ok());
     }
-    ASSERT_TRUE(core::Snapshot::Write(index, prefix_).ok());
-    ASSERT_TRUE((*log)->Truncate().ok());
+    // The checkpoint also truncates the WAL to the batches it covers.
+    ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log->get()).ok());
 
     // Day 3: one more batch is logged, and the process "crashes" before
     // applying it (we simply drop the in-memory index).
@@ -187,9 +193,9 @@ TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
     ASSERT_TRUE((*log)->AppendBatch(late).ok());
   }
 
-  // Recovery: restore the snapshot, then replay the unapplied tail.
+  // Recovery: restore the checkpoint, then replay the unapplied tail.
   core::InvertedIndex recovered(Options());
-  ASSERT_TRUE(core::Snapshot::Load(prefix_, &recovered).ok());
+  ASSERT_TRUE(MakeCheckpointer().Recover(&recovered, /*log=*/nullptr).ok());
   Result<std::unique_ptr<core::BatchLog>> log =
       core::BatchLog::Open(prefix_ + ".wal");
   ASSERT_TRUE(log.ok());
@@ -224,7 +230,7 @@ TEST_F(MaintenanceCycleTest, IntegrityHoldsAcrossFullLifecycle) {
   ASSERT_TRUE(index.GrowBuckets(64, 128).ok());
   ASSERT_TRUE(index.VerifyIntegrity().ok()) << "after bucket growth";
   const Result<ir::QueryResult> r =
-      ir::EvaluateBoolean(index, "common AND daya");
+      ir::QueryExecutor(index).EvaluateBoolean("common AND daya");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->docs.size(), 19u);  // 20 day-a docs minus deleted doc 3
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inverted_index.h"
+#include "ir/query_executor.h"
+
 namespace duplex::ir {
 namespace {
 
@@ -50,7 +53,7 @@ class QueryEvalTest : public ::testing::Test {
   }
 
   std::vector<DocId> Eval(const std::string& q) {
-    Result<QueryResult> r = EvaluateBoolean(index_, q);
+    Result<QueryResult> r = QueryExecutor(index_).EvaluateBoolean(q);
     EXPECT_TRUE(r.ok()) << r.status();
     return r.ok() ? r->docs : std::vector<DocId>{};
   }
@@ -79,20 +82,21 @@ TEST_F(QueryEvalTest, UnknownTermIsEmpty) {
 }
 
 TEST_F(QueryEvalTest, MissingTermCounted) {
-  Result<QueryResult> r = EvaluateBoolean(index_, "cat OR unicorn");
+  Result<QueryResult> r =
+      QueryExecutor(index_).EvaluateBoolean("cat OR unicorn");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->missing_terms, 1u);
 }
 
 TEST_F(QueryEvalTest, CostAccountingCountsReads) {
-  Result<QueryResult> r = EvaluateBoolean(index_, "cat AND dog");
+  Result<QueryResult> r = QueryExecutor(index_).EvaluateBoolean("cat AND dog");
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r->read_ops, 2u);  // at least one read per term
   EXPECT_EQ(r->postings_read, 3u + 2u);  // cat: 3 docs, dog: 2 docs
 }
 
 TEST_F(QueryEvalTest, ParseErrorsPropagate) {
-  Result<QueryResult> r = EvaluateBoolean(index_, "AND AND");
+  Result<QueryResult> r = QueryExecutor(index_).EvaluateBoolean("AND AND");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }

@@ -202,23 +202,5 @@ TEST_F(QueryExecutorTest, MissingTermsAreCountedNotErrors) {
   }
 }
 
-// The legacy free-function overloads are now shims over QueryExecutor;
-// both spellings must return the same answer and costs.
-TEST_F(QueryExecutorTest, LegacyOverloadsMatchExecutor) {
-  const std::string q = "alpha AND NOT beta";
-  Result<QueryResult> via_executor = QueryExecutor(full_).EvaluateBoolean(q);
-  Result<QueryResult> via_overload = EvaluateBoolean(full_, q);
-  ASSERT_TRUE(via_executor.ok());
-  ASSERT_TRUE(via_overload.ok());
-  EXPECT_EQ(via_overload->docs, via_executor->docs);
-  EXPECT_EQ(via_overload->read_ops, via_executor->read_ops);
-  EXPECT_EQ(via_overload->cached_read_ops, via_executor->cached_read_ops);
-  EXPECT_EQ(via_overload->postings_read, via_executor->postings_read);
-
-  Result<QueryResult> sharded_overload = EvaluateBoolean(sharded_, q);
-  ASSERT_TRUE(sharded_overload.ok());
-  EXPECT_EQ(sharded_overload->docs, via_executor->docs);
-}
-
 }  // namespace
 }  // namespace duplex::ir

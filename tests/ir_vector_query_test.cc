@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inverted_index.h"
+#include "ir/query_executor.h"
+
 namespace duplex::ir {
 namespace {
 
@@ -34,7 +37,7 @@ class VectorQueryTest : public ::testing::Test {
 TEST_F(VectorQueryTest, RanksByAccumulatedWeightTimesIdf) {
   VectorQuery q;
   q.terms = {{"apple", 1.0}, {"banana", 1.0}, {"cherry", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->top.size(), 3u);
   // Doc 0 matches all three terms, doc 1 two, doc 2 one.
@@ -49,7 +52,7 @@ TEST_F(VectorQueryTest, RareTermsScoreHigherThanCommonOnes) {
   // cherry (df=1) must outweigh apple (df=3) for equal weights.
   VectorQuery q;
   q.terms = {{"apple", 1.0}, {"cherry", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   double apple_only_score = 0;
   double cherry_plus_apple = 0;
@@ -63,7 +66,7 @@ TEST_F(VectorQueryTest, RareTermsScoreHigherThanCommonOnes) {
 TEST_F(VectorQueryTest, WeightsScaleContributions) {
   VectorQuery q;
   q.terms = {{"banana", 5.0}, {"durian", 0.1}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   // Banana docs (0, 1) must beat the durian doc (3) despite durian's idf.
   EXPECT_TRUE(r->top[0].doc == 0 || r->top[0].doc == 1);
@@ -72,7 +75,7 @@ TEST_F(VectorQueryTest, WeightsScaleContributions) {
 TEST_F(VectorQueryTest, TopKTruncates) {
   VectorQuery q;
   q.terms = {{"apple", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 2, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 2, 4);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->top.size(), 2u);
 }
@@ -80,7 +83,7 @@ TEST_F(VectorQueryTest, TopKTruncates) {
 TEST_F(VectorQueryTest, MissingTermsCountedNotFatal) {
   VectorQuery q;
   q.terms = {{"apple", 1.0}, {"zzz", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->missing_terms, 1u);
   EXPECT_FALSE(r->top.empty());
@@ -88,7 +91,7 @@ TEST_F(VectorQueryTest, MissingTermsCountedNotFatal) {
 
 TEST_F(VectorQueryTest, EmptyQueryYieldsNothing) {
   VectorQuery q;
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->top.empty());
   EXPECT_EQ(r->read_ops, 0u);
@@ -97,7 +100,7 @@ TEST_F(VectorQueryTest, EmptyQueryYieldsNothing) {
 TEST_F(VectorQueryTest, TieBreaksOnDocId) {
   VectorQuery q;
   q.terms = {{"banana", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->top.size(), 2u);
   EXPECT_EQ(r->top[0].doc, 0u);  // equal scores: ascending doc id
@@ -108,7 +111,7 @@ TEST_F(VectorQueryTest, DeletedDocsExcluded) {
   index_.DeleteDocument(0);
   VectorQuery q;
   q.terms = {{"apple", 1.0}};
-  Result<VectorQueryResult> r = EvaluateVector(index_, q, 10, 4);
+  Result<VectorQueryResult> r = QueryExecutor(index_).EvaluateVector(q, 10, 4);
   ASSERT_TRUE(r.ok());
   for (const ScoredDoc& d : r->top) EXPECT_NE(d.doc, 0u);
 }

@@ -13,7 +13,7 @@
 
 #include "core/batch_log.h"
 #include "core/inverted_index.h"
-#include "ir/query_eval.h"
+#include "ir/query_executor.h"
 #include "sim/observability.h"
 #include "sim/pipeline.h"
 #include "util/metrics.h"
@@ -265,7 +265,7 @@ TEST(ObservedComponentsTest, WalAndQueriesRecord) {
     ir::BooleanQuery query;
     query.kind = ir::BooleanQuery::Kind::kTerm;
     query.term = "missing";
-    ASSERT_TRUE(ir::EvaluateBoolean(index, query).ok());
+    ASSERT_TRUE(ir::QueryExecutor(index).EvaluateBoolean(query).ok());
   }
   SetGlobalMetrics(prev_registry);
   SetGlobalTracer(prev_tracer);

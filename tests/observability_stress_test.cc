@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sharded_index.h"
-#include "ir/query_eval.h"
+#include "ir/query_executor.h"
 #include "sim/pipeline.h"
 #include "util/metrics.h"
 #include "util/tracer.h"
@@ -115,7 +115,7 @@ TEST(ObservabilityStress, ShardedApplyAndQueriesWithRecordingOn) {
           query.kind = ir::BooleanQuery::Kind::kTerm;
           query.term = "w42";
           for (int i = 0; i < 50; ++i) {
-            ASSERT_TRUE(ir::EvaluateBoolean(index, query).ok());
+            ASSERT_TRUE(ir::QueryExecutor(index).EvaluateBoolean(query).ok());
           }
         });
       }

@@ -1,37 +1,25 @@
 #!/usr/bin/env bash
-# CI entry point: build + test in Release (with explicit buffer-pool,
-# fault-injection, and observability passes), rebuild with ThreadSanitizer
-# (-DDUPLEX_SANITIZE=thread) and re-run the concurrency surface (thread
-# pool, concurrent facade, sharded index, cache stress) so every PR is
-# race-checked, then rebuild the recovery surface with ASan+UBSan
-# (-DDUPLEX_SANITIZE=address,undefined) — crash-path code runs rarely in
-# production, so memory errors there hide longest; the in-memory block
-# device rides that pass too, since its blocks are stored only up to
-# their written extent and a read past one is where an out-of-bounds
-# access would hide. Then the benchmark harness's self-test
-# (perfbench/run.py --selftest). Finishes with smoke
-# runs of the cache-sweep and compaction benches so BENCH_cache.json and
-# BENCH_compaction.json stay fresh, plus the read-path bench gate that
-# fails if the QueryExecutor seam regresses query throughput by >2%.
-# The network layer gets its own gates: a net pass in Release, the frame
-# fuzz suite under ASan+UBSan, the ServerStress suite under TSan, a
-# loopback smoke (duplexd on an ephemeral port, duplexctl against it,
-# clean SIGTERM shutdown), and a saturation bench smoke that refreshes
-# BENCH_server.json. The checkpoint subsystem gets a Release pass
-# (superblock + checkpoint/recover + crash sweep), rides the ASan+UBSan
-# recovery build, runs its reader-concurrency stress under TSan, extends
-# the loopback smoke with a shutdown checkpoint + recover-demo, and
-# refreshes BENCH_recovery.json. The admin plane rides the loopback
-# smoke too: duplexd starts with --admin-port 0 and /healthz, /readyz,
-# /metrics (exposition format checked), and /statusz are all hit over
-# real HTTP; the async logger + admin/scrape-race tests run under TSan;
-# and the observability bench smoke refreshes BENCH_observability.json.
-# The live-ingest tier gets its own gates: a Release pass (unit +
-# property differential + crash sweep + submit-live codec fuzz), the
-# visibility-invariant stress under TSan, the delta crash sweep under
-# ASan+UBSan, a loopback submit-live-then-immediately-query against the
-# real duplexd (with the /statusz delta block checked), and a bench
-# smoke that refreshes BENCH_live_ingest.json.
+# CI entry point. One Release build runs the full test suite once; no
+# subset is re-run in Release, because the full pass already covers it.
+# Then two sanitizer builds re-run the surfaces where their bugs hide:
+# ThreadSanitizer (-DDUPLEX_SANITIZE=thread) over the concurrency surface
+# (thread pool, sharded index, cache/compaction/observability stress,
+# merging reader, server stress, checkpoint stress, logger, admin plane,
+# live-ingest stress), and ASan+UBSan (-DDUPLEX_SANITIZE=address,undefined)
+# over the recovery surface (fault injection, crash sweeps, WAL,
+# checkpoint, superblock, codecs, frame fuzz, the in-memory block device).
+# Then the benchmark harness's self-test (perfbench/run.py --selftest),
+# bench smokes that refresh BENCH_cache.json and BENCH_compaction.json,
+# and the read-path bench gate that fails if the QueryExecutor seam
+# regresses query throughput by >2%. The loopback smoke drives the real
+# binaries: `duplexctl build` -> `duplexd --checkpoint` -> net-query over
+# the built prefix, then a duplexd with WAL, checkpoints, admin plane and
+# live ingest is driven by duplexctl's net-* commands (query, submit,
+# submit-live, stats, /healthz, /readyz, /metrics, /statusz) and shut
+# down with SIGTERM, which must leave a shutdown checkpoint. Last come the
+# saturation, observability, recovery and live-ingest bench smokes, which
+# refresh BENCH_server.json, BENCH_observability.json, BENCH_recovery.json
+# and BENCH_live_ingest.json.
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
 
@@ -46,53 +34,16 @@ cmake -B build-ci-release -S . "${GEN[@]}" \
 cmake --build build-ci-release -j "$JOBS"
 ctest --test-dir build-ci-release --output-on-failure -j "$JOBS"
 
-echo "=== Buffer-pool pass (unit + equivalence + crash recovery) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'BufferPool|CachingBlockDevice|CacheEquivalence|CacheCrashRecovery'
-
-echo "=== Fault-injection + recovery pass ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'FaultSchedule|FaultInjecting|ChecksumBlockDevice|CrashSweep|ShardedRecovery|BatchLog|Scrub'
-
-echo "=== Checkpoint pass (superblock + checkpoint/recover + crash sweep) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'Checkpoint|Superblock'
-
-echo "=== Compaction pass (property + options + crash sweep + codec fuzz) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'Compaction|CodecRoundTrip|CodecFuzz|DiskArray'
-
-echo "=== Read-path pass (executor equivalence + chunk format + merging reader) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'QueryExecutor|ChunkHeader|ChunkFormat|MergingReader|MergeDocLists'
-
-echo "=== Observability pass (metrics + tracing + logging + admin plane) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'Counter|Gauge|LatencyHistogram|MetricsRegistry|GlobalMetrics|ScopedLatency|Tracer|ObservabilityScope|ObservedPipeline|ObservedComponents|Logger|AdminServer|Readiness|SlowQueryLog|ServerInstrumentation|DuplexdAdmin|LabelEscaping'
-# The embedded Prometheus-text validator runs against a live `duplexctl
-# metrics` invocation inside these two tests.
-ctest --test-dir build-ci-release --output-on-failure \
-  -R 'MetricsEmitsValidPrometheusAcrossLayers|TraceEmitsChromeTraceJson'
-
-echo "=== Network pass (frame codec + server protocol + bounded queue) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'FrameHeader|FrameAssembler|PayloadCodec|NetServer|ServerStress|BoundedQueue'
-
-echo "=== Live-ingest pass (delta tier + property diff + crash sweep) ==="
-ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" \
-  -R 'LiveIndex|LiveProperty|DeltaCrashSweep|SubmitLive'
-
 echo "=== ThreadSanitizer build + concurrency tests ==="
 cmake -B build-ci-tsan -S . "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDUPLEX_SANITIZE=thread >/dev/null
 cmake --build build-ci-tsan -j "$JOBS" --target \
-  util_thread_pool_test core_concurrent_index_test \
-  core_sharded_index_test core_cache_stress_test \
+  util_thread_pool_test core_sharded_index_test core_cache_stress_test \
   core_compaction_stress_test observability_stress_test \
   core_merging_reader_test net_server_stress_test core_checkpoint_test \
   util_log_test net_admin_test core_live_index_stress_test
 ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ConcurrentIndex|ShardedIndex|CacheStress|CompactionStress|ObservabilityStress|MergingReaderStress|ServerStress|CheckpointStress|Logger|ServerInstrumentation|AdminServer|Readiness|SlowQueryLog|LiveIndexStress'
+  -R 'ThreadPool|ShardedIndex|CacheStress|CompactionStress|ObservabilityStress|MergingReaderStress|ServerStress|CheckpointStress|Logger|ServerInstrumentation|AdminServer|Readiness|SlowQueryLog|LiveIndexStress'
 
 echo "=== ASan+UBSan build + recovery tests ==="
 cmake -B build-ci-asan -S . "${GEN[@]}" \
@@ -130,6 +81,36 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 printf 'incremental updates of inverted lists\n' > "$SMOKE_DIR/a.txt"
 printf 'text document retrieval systems\n' > "$SMOKE_DIR/b.txt"
+# Prints the port duplexd announced in $1 (its stdout file), waiting for
+# the announcement while the daemon with pid $2 is alive.
+wait_for_port() {
+  local port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/^duplexd listening on port \([0-9]*\)$/\1/p' \
+      "$1" 2>/dev/null || true)"
+    [ -n "$port" ] && { echo "$port"; return 0; }
+    kill -0 "$2" 2>/dev/null || return 1
+    sleep 0.1
+  done
+  return 1
+}
+
+# One on-disk format: duplexd serves the checkpoint `duplexctl build` wrote.
+./build-ci-release/examples/duplexctl build "$SMOKE_DIR/built" \
+  "$SMOKE_DIR/a.txt" "$SMOKE_DIR/b.txt" >/dev/null
+./build-ci-release/tools/duplexd --port 0 --checkpoint "$SMOKE_DIR/built" \
+  > "$SMOKE_DIR/built.out" 2> "$SMOKE_DIR/built.err" &
+BUILT_PID=$!
+BUILT_PORT="$(wait_for_port "$SMOKE_DIR/built.out" "$BUILT_PID")" \
+  || { echo "duplexd on the built prefix never served"; \
+       cat "$SMOKE_DIR/built.err"; exit 1; }
+./build-ci-release/examples/duplexctl net-query 127.0.0.1 "$BUILT_PORT" \
+  'retrieval' | grep -q '1 matching documents' \
+  || { echo "duplexd did not serve the built documents"; exit 1; }
+kill -TERM "$BUILT_PID"
+wait "$BUILT_PID" || { echo "duplexd on the built prefix exited non-zero"; \
+  cat "$SMOKE_DIR/built.err"; exit 1; }
+
 ./build-ci-release/tools/duplexd --port 0 --admin-port 0 \
   --slow-query-ms 50 --wal "$SMOKE_DIR/smoke.wal" \
   --checkpoint "$SMOKE_DIR/ckpt" \
@@ -137,16 +118,9 @@ printf 'text document retrieval systems\n' > "$SMOKE_DIR/b.txt"
   "$SMOKE_DIR/a.txt" "$SMOKE_DIR/b.txt" \
   > "$SMOKE_DIR/duplexd.out" 2> "$SMOKE_DIR/duplexd.err" &
 DUPLEXD_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/^duplexd listening on port \([0-9]*\)$/\1/p' \
-    "$SMOKE_DIR/duplexd.out" 2>/dev/null || true)"
-  [ -n "$PORT" ] && break
-  kill -0 "$DUPLEXD_PID" 2>/dev/null || {
-    echo "duplexd died at startup"; cat "$SMOKE_DIR/duplexd.err"; exit 1; }
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "duplexd never printed its port"; exit 1; }
+PORT="$(wait_for_port "$SMOKE_DIR/duplexd.out" "$DUPLEXD_PID")" \
+  || { echo "duplexd never printed its port"; \
+       cat "$SMOKE_DIR/duplexd.err"; exit 1; }
 ./build-ci-release/examples/duplexctl net-ping 127.0.0.1 "$PORT"
 ./build-ci-release/examples/duplexctl net-query 127.0.0.1 "$PORT" \
   'incremental AND updates' | grep -q '1 matching documents' \
@@ -207,6 +181,9 @@ wait "$DUPLEXD_PID" || { echo "duplexd exited non-zero"; \
 # must exist and the offline CLI must recover through it.
 [ -s "$SMOKE_DIR/ckpt.super" ] \
   || { echo "shutdown checkpoint superblock missing"; exit 1; }
+./build-ci-release/examples/duplexctl query "$SMOKE_DIR/ckpt" 'deltas' \
+  | grep -q '1 matching documents' \
+  || { echo "duplexctl cannot read the shutdown checkpoint"; exit 1; }
 ./build-ci-release/examples/duplexctl recover-demo >/dev/null \
   || { echo "recover-demo failed"; exit 1; }
 

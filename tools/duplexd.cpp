@@ -30,7 +30,10 @@
 // recovery goes through core::Checkpointer (last durable checkpoint +
 // WAL tail instead of full history), checkpoints repeat every
 // --checkpoint-interval, and the drain path ends with a final checkpoint
-// so a clean shutdown restarts with zero WAL replay.
+// so a clean shutdown restarts with zero WAL replay. The format is the one
+// `duplexctl build <prefix>` writes, so --checkpoint <prefix> serves an
+// offline build, and duplexctl's query/stats/scrub/compact read what this
+// daemon leaves at the default --shards.
 //
 // --admin-port opens the telemetry plane (net::AdminServer) BEFORE
 // recovery starts, so /readyz narrates the startup ladder (503 + stage)
@@ -71,7 +74,7 @@ void HandleShutdownSignal(int) { g_shutdown.store(true); }
 
 struct DaemonFlags {
   uint16_t port = 0;
-  uint32_t shards = 4;
+  uint32_t shards = core::kServingShards;
   uint32_t workers = 4;
   uint32_t queue = 1024;
   std::string wal;
@@ -90,32 +93,6 @@ struct DaemonFlags {
   uint32_t test_drain_delay_ms = 0;
   std::vector<std::string> inputs;
 };
-
-const char* RecoveryModeName(core::RecoveryMode mode) {
-  switch (mode) {
-    case core::RecoveryMode::kEmpty:
-      return "empty";
-    case core::RecoveryMode::kCheckpointTail:
-      return "checkpoint+tail";
-    case core::RecoveryMode::kFullRebuild:
-      return "full-rebuild";
-  }
-  return "unknown";
-}
-
-core::ShardedIndexOptions IndexOptionsFor(uint32_t shards) {
-  core::IndexOptions total;
-  total.buckets.num_buckets = 1024;
-  total.buckets.bucket_capacity = 512;
-  total.policy = core::Policy::RecommendedUpdateOptimized();
-  total.block_postings = 128;
-  total.disks.num_disks = 2;
-  total.disks.blocks_per_disk = 1 << 20;
-  total.disks.checksums = true;
-  total.materialize = true;
-  total.bucket_grow_threshold = 0.85;
-  return core::ShardedIndexOptions::Partition(total, shards);
-}
 
 int IndexInputs(core::ShardedIndex& index, core::BatchLog* wal,
                 const std::vector<std::string>& inputs) {
@@ -260,7 +237,8 @@ int Run(const DaemonFlags& flags) {
   status_state.start_ns = MonotonicNanos();
   status_state.shards = flags.shards;
 
-  core::ShardedIndex index(IndexOptionsFor(flags.shards));
+  core::ShardedIndex index(core::ShardedIndexOptions::Partition(
+      core::ServingIndexOptions(), flags.shards));
 
   // The WAL opens before the admin plane so a bad --wal path fails fast;
   // the open itself is cheap — the slow part (recovery) comes after the
@@ -349,10 +327,10 @@ int Run(const DaemonFlags& flags) {
       return 1;
     }
     LogInfo("duplexd.recovered")
-        .Str("mode", RecoveryModeName(recovered->mode))
+        .Str("mode", core::RecoveryModeName(recovered->mode))
         .U64("batches_replayed", recovered->batches_replayed)
         .Str("detail", recovered->detail);
-    std::cerr << "recovered (" << RecoveryModeName(recovered->mode)
+    std::cerr << "recovered (" << core::RecoveryModeName(recovered->mode)
               << "): " << recovered->batches_replayed
               << " WAL batches replayed; " << recovered->detail << "\n";
   } else if (wal != nullptr && wal->batches_logged() > 0) {
