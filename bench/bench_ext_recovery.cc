@@ -23,7 +23,7 @@
 #include "bench/bench_common.h"
 #include "core/batch_log.h"
 #include "core/checkpoint.h"
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "text/batch.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -37,7 +37,8 @@ using namespace duplex;
 constexpr int kWords = 400;
 constexpr uint64_t kCheckpointEvery = 8;  // batches between checkpoints
 
-core::IndexOptions Options() {
+// duplexd's shard count over this bench's geometry.
+core::ShardedIndexOptions Options() {
   core::IndexOptions options;
   options.buckets.num_buckets = 256;
   options.buckets.bucket_capacity = 64;
@@ -48,7 +49,16 @@ core::IndexOptions Options() {
   options.disks.block_size_bytes = 512;
   options.disks.checksums = true;
   options.materialize = true;
-  return options;
+  return core::ShardedIndexOptions::Partition(options, core::kServingShards);
+}
+
+// Bytes of one installed checkpoint: its manifest plus every shard image.
+uint64_t CheckpointBytes(const core::CheckpointInfo& info) {
+  uint64_t bytes = info.payload_bytes;
+  for (uint32_t k = 0; k < core::kServingShards; ++k) {
+    bytes += fs::file_size(info.payload_path + "-shard" + std::to_string(k));
+  }
+  return bytes;
 }
 
 std::vector<text::InvertedBatch> MakeBatches(uint64_t count,
@@ -84,7 +94,7 @@ struct RestartPoint {
   double wal_only_ms = 0.0;       // full replay restart
   double checkpointed_ms = 0.0;   // restore + tail replay restart
   uint64_t tail_batches = 0;      // batches replayed on the fast path
-  uint64_t checkpoint_bytes = 0;  // installed image size
+  uint64_t checkpoint_bytes = 0;  // installed manifest + shard images
 };
 
 // Builds an N-batch logged history under `dir` and times both restarts.
@@ -107,13 +117,14 @@ RestartPoint MeasureRestart(const std::string& dir,
       std::exit(1);
     }
     (*log)->set_fsync(false);
-    core::InvertedIndex index(Options());
+    core::ShardedIndex index(Options());
     core::CheckpointOptions ckpt_options;
     ckpt_options.prefix = prefix;
     core::Checkpointer checkpointer(ckpt_options);
     for (uint64_t b = 0; b < history; ++b) {
-      if (Status s = (*log)->ApplyLogged(&index, batches[b]); !s.ok()) {
-        std::cerr << "[bench] apply failed: " << s << "\n";
+      if (Result<uint64_t> id = index.ApplyLogged(log->get(), batches[b], {});
+          !id.ok()) {
+        std::cerr << "[bench] apply failed: " << id.status() << "\n";
         std::exit(1);
       }
       // Off-phase cadence (batches 4, 12, 20, ...) so every measured
@@ -127,7 +138,7 @@ RestartPoint MeasureRestart(const std::string& dir,
           std::cerr << "[bench] checkpoint failed: " << info.status() << "\n";
           std::exit(1);
         }
-        point.checkpoint_bytes = info->payload_bytes;
+        point.checkpoint_bytes = CheckpointBytes(*info);
       }
     }
   }
@@ -140,7 +151,7 @@ RestartPoint MeasureRestart(const std::string& dir,
     std::exit(1);
   }
   (*log)->set_fsync(false);
-  core::InvertedIndex index(Options());
+  core::ShardedIndex index(Options());
   core::CheckpointOptions ckpt_options;
   ckpt_options.prefix = prefix;
   core::Checkpointer checkpointer(ckpt_options);

@@ -71,9 +71,46 @@ core::IndexOptions DefaultOptions() {
   return options;
 }
 
-core::ShardedIndexOptions ServingOptions() {
-  return core::ShardedIndexOptions::Partition(DefaultOptions(),
-                                              core::kServingShards);
+core::ShardedIndexOptions ServingOptions(
+    const core::IndexOptions& total = DefaultOptions()) {
+  return core::ShardedIndexOptions::Partition(total, core::kServingShards);
+}
+
+// One synthetic batch for the self-contained drills: `docs` fresh
+// documents, word w in each with probability 1 / (1 + w / spread).
+text::InvertedBatch SyntheticBatch(Rng& gen, int words, int docs, int spread,
+                                   DocId* next_doc) {
+  std::vector<std::vector<DocId>> lists(words);
+  for (int d = 0; d < docs; ++d) {
+    const DocId doc = (*next_doc)++;
+    for (int w = 0; w < words; ++w) {
+      if (gen.Uniform(1 + static_cast<uint64_t>(w / spread)) == 0) {
+        lists[w].push_back(doc);
+      }
+    }
+  }
+  text::InvertedBatch batch;
+  for (int w = 0; w < words; ++w) {
+    if (!lists[w].empty()) {
+      batch.entries.push_back({static_cast<WordId>(w), lists[w]});
+    }
+  }
+  return batch;
+}
+
+// Whether `index` answers every word below `words` exactly as `reference`
+// does.
+bool SamePostings(const core::IndexReader& index,
+                  const core::IndexReader& reference, int words) {
+  for (WordId w = 0; w < static_cast<WordId>(words); ++w) {
+    const Result<std::vector<DocId>> expect = reference.GetPostings(w);
+    const Result<std::vector<DocId>> got = index.GetPostings(w);
+    if (expect.ok() != got.ok() || (expect.ok() && *expect != *got)) {
+      std::cerr << "postings mismatch (word " << w << ")\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 Result<core::CheckpointInfo> InstallCheckpoint(const core::ShardedIndex& index,
@@ -231,6 +268,26 @@ int Stats(const std::string& prefix) {
   return 0;
 }
 
+// ScrubIndex on every shard, repairing from `wal` (may be null). Shards
+// own disjoint words, so the per-shard reports add up.
+Result<core::ScrubReport> ScrubShards(core::ShardedIndex& index,
+                                      core::BatchLog* wal) {
+  core::ScrubReport total;
+  for (uint32_t k = 0; k < index.num_shards(); ++k) {
+    Result<core::ScrubReport> report =
+        index.shard(k).WithWrite([&](core::InvertedIndex& shard) {
+          return core::ScrubIndex(&shard, wal);
+        });
+    if (!report.ok()) {
+      return Status(report.status().code(), "scrub of shard " +
+                                                std::to_string(k) + ": " +
+                                                report.status().message());
+    }
+    total.Merge(*report);
+  }
+  return total;
+}
+
 int Scrub(const std::string& prefix) {
   Result<OpenedIndex> opened = OpenIndex(prefix);
   if (!opened.ok()) {
@@ -238,27 +295,18 @@ int Scrub(const std::string& prefix) {
     return 1;
   }
   core::ShardedIndex& index = *opened->index;
-  // Shards own disjoint words, so the per-shard reports add up.
-  core::ScrubReport total;
-  for (uint32_t k = 0; k < index.num_shards(); ++k) {
-    Result<core::ScrubReport> report =
-        index.shard(k).WithWrite([&](core::InvertedIndex& shard) {
-          return core::ScrubIndex(&shard, opened->wal.get());
-        });
-    if (!report.ok()) {
-      std::cerr << "scrub of shard " << k << " failed: " << report.status()
-                << "\n";
-      return 1;
-    }
-    total.Merge(*report);
+  Result<core::ScrubReport> total = ScrubShards(index, opened->wal.get());
+  if (!total.ok()) {
+    std::cerr << total.status() << "\n";
+    return 1;
   }
-  std::cout << total.ToString() << "\n";
+  std::cout << total->ToString() << "\n";
   if (Status s = index.VerifyIntegrity(); !s.ok()) {
     std::cerr << "structural check failed: " << s << "\n";
     return 1;
   }
   std::cout << "structural check OK\n";
-  return total.quarantined.empty() ? 0 : 1;
+  return total->quarantined.empty() ? 0 : 1;
 }
 
 // Long-list fragmentation summary printed by `compact`/`compact-demo`.
@@ -287,12 +335,6 @@ struct FragReport {
                              static_cast<double>(blocks * block_postings);
   }
 };
-
-FragReport Fragmentation(const core::InvertedIndex& index) {
-  FragReport r;
-  r.Add(index);
-  return r;
-}
 
 FragReport Fragmentation(const core::ShardedIndex& index) {
   FragReport r;
@@ -368,27 +410,14 @@ int CompactDemo() {
   options.disks.blocks_per_disk = 1 << 18;
   options.disks.block_size_bytes = 128;
 
-  core::InvertedIndex index(options);
-  core::InvertedIndex reference(options);
+  core::ShardedIndex index(ServingOptions(options));
+  core::ShardedIndex reference(ServingOptions(options));
   constexpr int kWords = 48;
   Rng gen(11);
   DocId next_doc = 0;
   for (int b = 0; b < 24; ++b) {
-    text::InvertedBatch batch;
-    std::vector<std::vector<DocId>> lists(kWords);
-    for (int d = 0; d < 30; ++d) {
-      const DocId doc = next_doc++;
-      for (int w = 0; w < kWords; ++w) {
-        if (gen.Uniform(1 + static_cast<uint64_t>(w) / 6) == 0) {
-          lists[w].push_back(doc);
-        }
-      }
-    }
-    for (int w = 0; w < kWords; ++w) {
-      if (!lists[w].empty()) {
-        batch.entries.push_back({static_cast<WordId>(w), lists[w]});
-      }
-    }
+    const text::InvertedBatch batch =
+        SyntheticBatch(gen, kWords, 30, 6, &next_doc);
     if (Status s = index.ApplyInvertedBatch(batch); !s.ok()) {
       std::cerr << "apply failed: " << s << "\n";
       return 1;
@@ -423,14 +452,7 @@ int CompactDemo() {
     std::cerr << "integrity check failed: " << s << "\n";
     return 1;
   }
-  for (WordId w = 0; w < kWords; ++w) {
-    const Result<std::vector<DocId>> expect = reference.GetPostings(w);
-    const Result<std::vector<DocId>> got = index.GetPostings(w);
-    if (expect.ok() != got.ok() || (expect.ok() && *expect != *got)) {
-      std::cerr << "postings mismatch after compaction (word " << w << ")\n";
-      return 1;
-    }
-  }
+  if (!SamePostings(index, reference, kWords)) return 1;
   std::cout << "verified: all postings identical to the uncompacted "
                "reference\n";
   return 0;
@@ -462,29 +484,17 @@ int ScrubDemo() {
   (*log)->set_fsync(false);
 
   // Deterministic multi-batch workload, same shape as the recovery tests.
-  core::InvertedIndex index(options);
-  core::InvertedIndex reference(options);
+  core::ShardedIndex index(ServingOptions(options));
+  core::ShardedIndex reference(ServingOptions(options));
   constexpr int kWords = 60;
   Rng gen(7);
   DocId next_doc = 0;
   for (int b = 0; b < 6; ++b) {
-    text::InvertedBatch batch;
-    std::vector<std::vector<DocId>> lists(kWords);
-    for (int d = 0; d < 40; ++d) {
-      const DocId doc = next_doc++;
-      for (int w = 0; w < kWords; ++w) {
-        if (gen.Uniform(1 + static_cast<uint64_t>(w) / 4) == 0) {
-          lists[w].push_back(doc);
-        }
-      }
-    }
-    for (int w = 0; w < kWords; ++w) {
-      if (!lists[w].empty()) {
-        batch.entries.push_back({static_cast<WordId>(w), lists[w]});
-      }
-    }
-    if (Status s = (*log)->ApplyLogged(&index, batch); !s.ok()) {
-      std::cerr << "apply failed: " << s << "\n";
+    const text::InvertedBatch batch =
+        SyntheticBatch(gen, kWords, 40, 4, &next_doc);
+    if (Result<uint64_t> id = index.ApplyLogged(log->get(), batch, {});
+        !id.ok()) {
+      std::cerr << "apply failed: " << id.status() << "\n";
       return 1;
     }
     if (Status s = reference.ApplyInvertedBatch(batch); !s.ok()) {
@@ -493,42 +503,47 @@ int ScrubDemo() {
     }
   }
 
-  // Inject seeded bit flips below the checksum layer, one per chosen
-  // chunk, across distinct live blocks.
-  Rng rot(g_fault_seed);
-  struct Flip {
-    storage::DiskId disk;
-    storage::BlockId block;
-  };
-  std::vector<Flip> flips;
-  const auto& lists = index.long_list_store().directory().lists();
+  // Inject seeded bit flips below the checksum layer: one byte in a
+  // seeded block of the first chunk of each of the six lowest long words.
   std::vector<WordId> long_words;
-  for (const auto& [word, list] : lists) long_words.push_back(word);
+  for (uint32_t k = 0; k < index.num_shards(); ++k) {
+    index.shard(k).WithRead([&](const core::InvertedIndex& shard) {
+      for (const auto& [word, list] :
+           shard.long_list_store().directory().lists()) {
+        long_words.push_back(word);
+      }
+    });
+  }
   std::sort(long_words.begin(), long_words.end());
+  Rng rot(g_fault_seed);
+  uint64_t flips = 0;
   for (const WordId word : long_words) {
-    if (flips.size() >= 6) break;
-    const core::LongList& list = lists.at(word);
-    for (const core::ChunkRef& chunk : list.chunks) {
-      if (chunk.byte_length == 0) continue;
-      const storage::BlockId block =
-          chunk.range.start +
-          rot.Uniform(1 + (chunk.byte_length - 1) /
-                              options.disks.block_size_bytes);
-      flips.push_back({chunk.range.disk, block});
-      break;
-    }
+    if (flips >= 6) break;
+    index.shard(index.ShardFor(word))
+        .WithWrite([&](core::InvertedIndex& shard) {
+          const core::LongList& list =
+              shard.long_list_store().directory().lists().at(word);
+          for (const core::ChunkRef& chunk : list.chunks) {
+            if (chunk.byte_length == 0) continue;
+            const storage::BlockId block =
+                chunk.range.start +
+                rot.Uniform(1 + (chunk.byte_length - 1) /
+                                    options.disks.block_size_bytes);
+            storage::MemBlockDevice* dev =
+                shard.disks().base_device(chunk.range.disk);
+            const uint64_t offset =
+                rot.Uniform(options.disks.block_size_bytes);
+            uint8_t byte = 0;
+            (void)dev->Read(block, offset, &byte, 1);
+            byte ^= uint8_t{1} << rot.Uniform(8);
+            (void)dev->Write(block, offset, &byte, 1);
+            ++flips;
+            break;
+          }
+        });
   }
-  for (const Flip& f : flips) {
-    storage::MemBlockDevice* dev = index.disks().base_device(f.disk);
-    uint8_t byte = 0;
-    const uint64_t offset =
-        rot.Uniform(options.disks.block_size_bytes);
-    (void)dev->Read(f.block, offset, &byte, 1);
-    byte ^= uint8_t{1} << rot.Uniform(8);
-    (void)dev->Write(f.block, offset, &byte, 1);
-  }
-  std::cout << "injected " << flips.size()
-            << " bit flips (seed " << g_fault_seed << ")\n";
+  std::cout << "injected " << flips << " bit flips (seed " << g_fault_seed
+            << ")\n";
 
   // Every corrupted word must now fail typed — never return garbage.
   uint64_t typed_failures = 0;
@@ -545,17 +560,15 @@ int ScrubDemo() {
   std::cout << "queries on damaged lists -> kCorruption (" << typed_failures
             << " words)\n";
 
-  core::ScrubOptions scrub_options;
-  Result<core::ScrubReport> report =
-      core::ScrubIndex(&index, log->get(), scrub_options);
+  Result<core::ScrubReport> report = ScrubShards(index, log->get());
   if (!report.ok()) {
     std::cerr << "scrub failed: " << report.status() << "\n";
     return 1;
   }
   std::cout << report->ToString() << "\n";
-  if (report->corrupt_blocks < flips.size()) {
+  if (report->corrupt_blocks < flips) {
     std::cerr << "scrub missed corruptions: found "
-              << report->corrupt_blocks << " of " << flips.size() << "\n";
+              << report->corrupt_blocks << " of " << flips << "\n";
     return 1;
   }
   if (!report->quarantined.empty()) {
@@ -564,19 +577,12 @@ int ScrubDemo() {
   }
 
   // After repair: clean scrub, identical postings to the reference.
-  Result<core::ScrubReport> recheck = core::ScrubIndex(&index, log->get());
+  Result<core::ScrubReport> recheck = ScrubShards(index, log->get());
   if (!recheck.ok() || !recheck->clean()) {
     std::cerr << "post-repair scrub still dirty\n";
     return 1;
   }
-  for (WordId w = 0; w < kWords; ++w) {
-    const Result<std::vector<DocId>> expect = reference.GetPostings(w);
-    const Result<std::vector<DocId>> got = index.GetPostings(w);
-    if (expect.ok() != got.ok() || (expect.ok() && *expect != *got)) {
-      std::cerr << "postings mismatch after repair (word " << w << ")\n";
-      return 1;
-    }
-  }
+  if (!SamePostings(index, reference, kWords)) return 1;
   std::remove(wal_path.c_str());
   std::cout << "repair verified: all postings match the uncorrupted "
                "reference\n";
@@ -607,15 +613,16 @@ int RecoverDemo() {
     return 1;
   }
   const std::string wal_path = dir + "/demo.wal";
-  const std::string ckpt_prefix = dir + "/demo";
+  core::CheckpointOptions ckpt_options;
+  ckpt_options.prefix = dir + "/demo";
+  core::Checkpointer checkpointer(ckpt_options);
 
-  core::InvertedIndex reference(options);
+  core::ShardedIndex reference(ServingOptions(options));
   constexpr int kWords = 48;
   constexpr int kBatches = 12;
   constexpr int kCheckpointAfter = 8;
   Rng gen(29);
   DocId next_doc = 0;
-  core::RecoveryInfo recovered;
   {
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(wal_path);
@@ -624,28 +631,13 @@ int RecoverDemo() {
       return 1;
     }
     (*log)->set_fsync(false);
-    core::InvertedIndex index(options);
-    core::CheckpointOptions ckpt_options;
-    ckpt_options.prefix = ckpt_prefix;
-    core::Checkpointer checkpointer(ckpt_options);
+    core::ShardedIndex index(ServingOptions(options));
     for (int b = 0; b < kBatches; ++b) {
-      text::InvertedBatch batch;
-      std::vector<std::vector<DocId>> lists(kWords);
-      for (int d = 0; d < 30; ++d) {
-        const DocId doc = next_doc++;
-        for (int w = 0; w < kWords; ++w) {
-          if (gen.Uniform(1 + static_cast<uint64_t>(w) / 6) == 0) {
-            lists[w].push_back(doc);
-          }
-        }
-      }
-      for (int w = 0; w < kWords; ++w) {
-        if (!lists[w].empty()) {
-          batch.entries.push_back({static_cast<WordId>(w), lists[w]});
-        }
-      }
-      if (Status s = (*log)->ApplyLogged(&index, batch); !s.ok()) {
-        std::cerr << "apply failed: " << s << "\n";
+      const text::InvertedBatch batch =
+          SyntheticBatch(gen, kWords, 30, 6, &next_doc);
+      if (Result<uint64_t> id = index.ApplyLogged(log->get(), batch, {});
+          !id.ok()) {
+        std::cerr << "apply failed: " << id.status() << "\n";
         return 1;
       }
       if (Status s = reference.ApplyInvertedBatch(batch); !s.ok()) {
@@ -661,11 +653,11 @@ int RecoverDemo() {
         }
         std::cout << "checkpoint " << info->install_seq << " at WAL epoch "
                   << info->wal_epoch << " (" << info->payload_bytes
-                  << " bytes); WAL truncated to the tail\n";
+                  << " byte manifest); WAL truncated to the tail\n";
       }
     }
     // "Crash": everything in memory is dropped; only the WAL file, the
-    // superblock, and the checkpoint image survive.
+    // superblock, and the checkpoint files survive.
   }
 
   Result<std::unique_ptr<core::BatchLog>> log =
@@ -674,27 +666,23 @@ int RecoverDemo() {
     std::cerr << "cannot reopen WAL: " << log.status() << "\n";
     return 1;
   }
-  core::InvertedIndex index(options);
-  core::CheckpointOptions ckpt_options;
-  ckpt_options.prefix = ckpt_prefix;
-  core::Checkpointer checkpointer(ckpt_options);
-  Result<core::RecoveryInfo> info =
+  core::ShardedIndex index(ServingOptions(options));
+  Result<core::RecoveryInfo> recovered =
       checkpointer.Recover(&index, log->get());
-  if (!info.ok()) {
-    std::cerr << "recovery failed: " << info.status() << "\n";
+  if (!recovered.ok()) {
+    std::cerr << "recovery failed: " << recovered.status() << "\n";
     return 1;
   }
-  recovered = *info;
-  std::cout << "recovered (" << core::RecoveryModeName(recovered.mode) << "): "
-            << recovered.batches_replayed << " WAL batches replayed"
-            << " (checkpoint epoch " << recovered.checkpoint_epoch << ")\n";
-  if (recovered.mode != core::RecoveryMode::kCheckpointTail) {
+  std::cout << "recovered (" << core::RecoveryModeName(recovered->mode)
+            << "): " << recovered->batches_replayed << " WAL batches replayed"
+            << " (checkpoint epoch " << recovered->checkpoint_epoch << ")\n";
+  if (recovered->mode != core::RecoveryMode::kCheckpointTail) {
     std::cerr << "expected the checkpoint+tail fast path\n";
     return 1;
   }
-  if (recovered.batches_replayed != kBatches - kCheckpointAfter) {
+  if (recovered->batches_replayed != kBatches - kCheckpointAfter) {
     std::cerr << "expected " << (kBatches - kCheckpointAfter)
-              << " tail batches, replayed " << recovered.batches_replayed
+              << " tail batches, replayed " << recovered->batches_replayed
               << "\n";
     return 1;
   }
@@ -702,14 +690,7 @@ int RecoverDemo() {
     std::cerr << "integrity check failed: " << s << "\n";
     return 1;
   }
-  for (WordId w = 0; w < kWords; ++w) {
-    const Result<std::vector<DocId>> expect = reference.GetPostings(w);
-    const Result<std::vector<DocId>> got = index.GetPostings(w);
-    if (expect.ok() != got.ok() || (expect.ok() && *expect != *got)) {
-      std::cerr << "postings mismatch after recovery (word " << w << ")\n";
-      return 1;
-    }
-  }
+  if (!SamePostings(index, reference, kWords)) return 1;
   fs::remove_all(dir, ec);
   std::cout << "verified: recovered index identical to the uncrashed "
                "reference\n";
@@ -729,7 +710,7 @@ int RunObservedWorkload() {
   options.buckets.bucket_capacity = 64;
   options.block_postings = 16;
   if (options.cache.capacity_blocks == 0) options.cache.capacity_blocks = 64;
-  core::InvertedIndex index(options);
+  core::ShardedIndex index(ServingOptions(options));
 
   static constexpr const char* kPool[] = {
       "alpha", "beta",  "gamma", "delta", "epsilon", "zeta",  "eta",
@@ -787,34 +768,23 @@ int RunObservedWorkload() {
   wal_options.buckets.num_buckets = 64;
   wal_options.buckets.bucket_capacity = 64;
   wal_options.block_postings = 16;
-  core::InvertedIndex wal_index(wal_options);
+  core::ShardedIndex wal_index(ServingOptions(wal_options));
   constexpr int kWords = 30;
   Rng gen(9);
   DocId next_doc = 0;
   for (int b = 0; b < 4; ++b) {
-    text::InvertedBatch batch;
-    std::vector<std::vector<DocId>> lists(kWords);
-    for (int d = 0; d < 24; ++d) {
-      const DocId doc = next_doc++;
-      for (int w = 0; w < kWords; ++w) {
-        if (gen.Uniform(1 + static_cast<uint64_t>(w) / 4) == 0) {
-          lists[w].push_back(doc);
-        }
-      }
-    }
-    for (int w = 0; w < kWords; ++w) {
-      if (!lists[w].empty()) {
-        batch.entries.push_back({static_cast<WordId>(w), lists[w]});
-      }
-    }
-    if (Status s = (*log)->ApplyLogged(&wal_index, batch); !s.ok()) {
-      std::cerr << "logged apply failed: " << s << "\n";
+    const text::InvertedBatch batch =
+        SyntheticBatch(gen, kWords, 24, 4, &next_doc);
+    if (Result<uint64_t> id = wal_index.ApplyLogged(log->get(), batch, {});
+        !id.ok()) {
+      std::cerr << "logged apply failed: " << id.status() << "\n";
       return 1;
     }
   }
-  core::InvertedIndex replay_index(wal_options);
-  if (Status s = (*log)->ReplayInto(&replay_index); !s.ok()) {
-    std::cerr << "replay failed: " << s << "\n";
+  core::ShardedIndex replay_index(ServingOptions(wal_options));
+  if (Result<uint64_t> replayed = replay_index.ReplayLogged(log->get(), 0);
+      !replayed.ok()) {
+    std::cerr << "replay failed: " << replayed.status() << "\n";
     return 1;
   }
   std::remove(wal_path.c_str());

@@ -303,27 +303,8 @@ Status BatchLog::Scan() {
       }
       if (decoded.ok()) base_epoch_ = *base;
     } else if (record.type == kCompactionRecord) {
-      size_t c_pos = 0;
-      LoggedCompaction compaction;
-      Result<uint64_t> lists = GetVarint64(payload, &c_pos);
-      decoded = lists.ok() ? Status::OK() : lists.status();
-      if (decoded.ok()) {
-        compaction.lists = *lists;
-        Result<uint64_t> blocks = GetVarint64(payload, &c_pos);
-        Result<uint64_t> postings =
-            blocks.ok() ? GetVarint64(payload, &c_pos) : blocks;
-        if (!postings.ok()) {
-          decoded = postings.status();
-        } else {
-          compaction.blocks_reclaimed = *blocks;
-          compaction.postings = *postings;
-          if (c_pos != payload.size()) {
-            decoded =
-                Status::Corruption("compaction record has trailing bytes");
-          }
-        }
-      }
-      if (decoded.ok()) compactions_.push_back(compaction);
+      // Earlier releases logged each compaction round. Replay never needed
+      // them: past its checksum, the record is skipped.
     } else {
       decoded = Status::Corruption("unknown batch-log record type");
     }
@@ -492,97 +473,17 @@ Status BatchLog::ForEachBatch(
   return Status::OK();
 }
 
-Status BatchLog::ApplyLogged(InvertedIndex* index,
-                             const text::BatchUpdate& batch) {
-  DUPLEX_CHECK(index != nullptr);
-  Result<uint64_t> id = AppendBatch(batch);
-  if (!id.ok()) return id.status();
-  DUPLEX_RETURN_IF_ERROR(index->ApplyBatchUpdate(batch));
-  // Write-back pools may still hold this batch's index writes as dirty
-  // frames; they must reach the devices before the commit record, or a
-  // crash after MarkApplied would lose writes the log says are applied.
-  DUPLEX_RETURN_IF_ERROR(index->FlushCaches());
-  return MarkApplied(*id);
-}
-
-Status BatchLog::ApplyLogged(InvertedIndex* index,
-                             const text::InvertedBatch& batch) {
-  DUPLEX_CHECK(index != nullptr);
-  Result<uint64_t> id = AppendBatch(batch);
-  if (!id.ok()) return id.status();
-  DUPLEX_RETURN_IF_ERROR(index->ApplyInvertedBatch(batch));
-  DUPLEX_RETURN_IF_ERROR(index->FlushCaches());
-  return MarkApplied(*id);
-}
-
-Result<CompactionStats> BatchLog::CompactLogged(InvertedIndex* index) {
-  DUPLEX_CHECK(index != nullptr);
-  Result<CompactionStats> round = index->CompactOnce();
-  if (!round.ok()) return round.status();
-  if (round->lists_compacted == 0) return round;
-  // The rewritten chunks may still sit in dirty write-back frames; push
-  // them down before the log claims the round happened.
-  DUPLEX_RETURN_IF_ERROR(index->FlushCaches());
-  LoggedCompaction logged;
-  logged.lists = round->lists_compacted;
-  logged.blocks_reclaimed = round->blocks_reclaimed();
-  logged.postings = round->postings_rewritten;
-  std::string payload;
-  PutVarint64(logged.lists, &payload);
-  PutVarint64(logged.blocks_reclaimed, &payload);
-  PutVarint64(logged.postings, &payload);
-  DUPLEX_RETURN_IF_ERROR(AppendRecord(kCompactionRecord, payload));
-  compactions_.push_back(logged);
-  return round;
-}
-
-Status BatchLog::RecoverInto(InvertedIndex* index) {
-  DUPLEX_CHECK(index != nullptr);
-  ScopedLatency timer(m_replay_ns_);
-  Span span = TraceSpan("core.wal_recover");
-  std::string scratch;
-  LoggedBatch batch;
-  // MarkApplied appends to the file but never moves a record, so the
-  // index stays valid while the loop commits what it replays.
-  for (const Record& record : records_) {
-    if (record.applied) continue;
-    DUPLEX_RETURN_IF_ERROR(ReadBatch(record, &scratch, &batch));
-    DUPLEX_RETURN_IF_ERROR(ApplyOne(index, batch));
-    DUPLEX_RETURN_IF_ERROR(MarkApplied(batch.id));
-  }
-  return Status::OK();
-}
-
-Status BatchLog::ReplayInto(InvertedIndex* index) {
-  DUPLEX_CHECK(index != nullptr);
-  if (base_epoch_ != 0) {
-    return Status::FailedPrecondition(
-        "batch log was tail-truncated at epoch " +
-        std::to_string(base_epoch_) +
-        "; full replay is impossible, recover from the checkpoint");
-  }
-  ScopedLatency timer(m_replay_ns_);
-  Span span = TraceSpan("core.wal_replay");
-  // Every batch, applied or not, in append order: the caller starts from a
-  // freshly constructed (empty) index, so replaying the full history is
-  // idempotent by construction — there is no partially-applied device
-  // state to double-count, whatever the crashed instance managed to write.
-  DUPLEX_RETURN_IF_ERROR(ForEachBatch(0, [index](const LoggedBatch& batch) {
-    return ApplyOne(index, batch);
-  }));
-  return MarkAppliedFrom(0);
-}
-
 Status BatchLog::ReplayFrom(
     uint64_t epoch, const std::function<Status(const LoggedBatch&)>& apply) {
   if (epoch < base_epoch_) {
     return Status::FailedPrecondition(
-        "replay epoch " + std::to_string(epoch) +
-        " predates the log's base epoch " + std::to_string(base_epoch_) +
-        "; the needed tail was truncated away");
+        "replay from batch " + std::to_string(epoch) + " needs history " +
+        path_ + " no longer holds: a checkpoint truncated it at batch " +
+        std::to_string(base_epoch_) +
+        ", so recover from that checkpoint (duplexd --checkpoint <prefix>)");
   }
   ScopedLatency timer(m_replay_ns_);
-  Span span = TraceSpan("core.wal_replay_tail");
+  Span span = TraceSpan("core.wal_replay");
   for (const Record& record : records_) {
     if (record.id >= epoch) break;
     if (!record.applied) {
@@ -605,29 +506,6 @@ Status BatchLog::MarkAppliedFrom(uint64_t epoch) {
   return Status::OK();
 }
 
-Status BatchLog::ReplayFrom(uint64_t epoch, InvertedIndex* index) {
-  DUPLEX_CHECK(index != nullptr);
-  return ReplayFrom(epoch, [index](const LoggedBatch& batch) {
-    return ApplyOne(index, batch);
-  });
-}
-
-Status BatchLog::ApplyOne(InvertedIndex* index, const LoggedBatch& batch) {
-  if (index->options().materialize) {
-    if (!batch.materialized) {
-      return Status::FailedPrecondition(
-          "count-only batch cannot be replayed into a materialized "
-          "index");
-    }
-    DUPLEX_RETURN_IF_ERROR(index->ApplyInvertedBatch(batch.docs));
-  } else {
-    DUPLEX_RETURN_IF_ERROR(index->ApplyBatchUpdate(batch.counts));
-  }
-  // Same ordering as ApplyLogged: dirty frames down before the commit
-  // record.
-  return index->FlushCaches();
-}
-
 Status BatchLog::TruncateTo(uint64_t new_base) {
   if (new_base <= base_epoch_) return Status::OK();  // already truncated
   if (new_base > next_id_) {
@@ -645,10 +523,9 @@ Status BatchLog::TruncateTo(uint64_t new_base) {
   }
   // Build the replacement log image: epoch base record, then the
   // surviving tail's batch records, then commit records for the applied
-  // ones. Compaction records describe pre-checkpoint reclamation and are
-  // dropped with the prefix. Each batch record's payload is copied
-  // verbatim (checksum re-verified on the way), so the framed bytes are
-  // the ones appended originally.
+  // ones; compaction records are not copied. Each batch record's payload
+  // is copied verbatim (checksum re-verified on the way), so the framed
+  // bytes are the ones appended originally.
   std::string image;
   {
     std::string payload;
@@ -718,23 +595,8 @@ Status BatchLog::TruncateTo(uint64_t new_base) {
     records_[i].offset = tail_offsets[i];
     applied_count_ += records_[i].applied ? 1 : 0;
   }
-  compactions_.clear();
   base_epoch_ = new_base;
   end_offset_ = image.size();
-  return Status::OK();
-}
-
-Status BatchLog::Truncate() {
-  if (::truncate(path_.c_str(), 0) != 0) {
-    return Status::Internal("cannot truncate batch log");
-  }
-  DUPLEX_RETURN_IF_ERROR(OpenFiles());
-  records_.clear();
-  compactions_.clear();
-  applied_count_ = 0;
-  next_id_ = 0;
-  base_epoch_ = 0;
-  end_offset_ = 0;
   return Status::OK();
 }
 

@@ -7,28 +7,30 @@
 #include <string>
 #include <vector>
 
-#include "core/inverted_index.h"
 #include "storage/fault_injection.h"
 #include "text/batch.h"
+#include "util/metrics.h"
 #include "util/status.h"
+#include "util/tracer.h"
 
 namespace duplex::core {
 
 // Write-ahead log of batch updates, making incremental index maintenance
 // restartable (the paper: "the algorithms and data structures are
 // constructed so that the incremental update of the index can be restarted
-// if it is aborted"). Protocol:
+// if it is aborted"). The log only logs: it appends, commits, reads back
+// and truncates records. ShardedIndex drives the protocol around it:
 //
-//   1. log.AppendBatch(batch)          -- durable before any index I/O
-//   2. index.ApplyBatchUpdate(batch)   -- buckets/directory flushed after
+//   1. log.AppendBatch(batch, words)   -- durable before any index I/O
+//   2. apply to the shards, flush their dirty cache frames
 //   3. log.MarkApplied(batch_id)       -- commit record
 //
-// After a crash, RecoverInto replays the batches whose apply never
-// committed (UnappliedBatches() names them); a full rebuild (ReplayInto)
-// or a checkpoint plus its tail (ReplayFrom) reconstructs the index from
-// scratch. Records carry an FNV-64 checksum; a torn tail (partial final
-// record) is detected and ignored, matching the usual WAL recovery
-// contract.
+// (ShardedIndex::ApplyLogged.) Recovery restores the newest checkpoint
+// into a fresh index and replays every batch from the checkpoint's epoch
+// on, applied or not, or the whole history when no checkpoint exists
+// (ReplayFrom, driven by ShardedIndex::ReplayLogged). Records carry an
+// FNV-64 checksum; a torn tail (partial final record) is detected and
+// ignored, matching the usual WAL recovery contract.
 //
 // The batches themselves live only in the file. Open decodes and checks
 // every record once, then keeps a per-record index (id, file offset,
@@ -41,7 +43,7 @@ namespace duplex::core {
 // [0, epoch), TruncateTo(epoch) rewrites the log to an 'E' (epoch base)
 // record followed by only the surviving tail, and ids keep counting from
 // where they were. base_epoch() is the id of the oldest record still in
-// the log; ReplayFrom(epoch, ...) is the checkpoint-tail recovery path.
+// the log.
 class BatchLog {
  public:
   // One logged batch as read back from the file; `counts` is always
@@ -56,17 +58,6 @@ class BatchLog {
     text::BatchUpdate counts;
     text::InvertedBatch docs;
     std::vector<std::string> words;
-  };
-
-  // One logged compaction round ('C' record). Informational: compaction
-  // never changes logical postings, so replay ignores these — recovery of
-  // a crash mid-round is the ordinary full rebuild. They exist so
-  // operators (duplexctl) and tests can see reclamation history in the
-  // log.
-  struct LoggedCompaction {
-    uint64_t lists = 0;
-    uint64_t blocks_reclaimed = 0;
-    uint64_t postings = 0;
   };
 
   // Opens (creating if necessary) the log at `path` and scans it. Returns
@@ -95,21 +86,6 @@ class BatchLog {
   // Appends the commit record for `batch_id`.
   Status MarkApplied(uint64_t batch_id);
 
-  // Full commit protocol for one batch: append (durable), apply to the
-  // index, flush the index's dirty cache frames (write-back pools must
-  // not hold committed index writes hostage in memory), then the commit
-  // record. This is the ordering diagram in DESIGN.md § Buffer pool.
-  Status ApplyLogged(InvertedIndex* index, const text::BatchUpdate& batch);
-  Status ApplyLogged(InvertedIndex* index, const text::InvertedBatch& batch);
-
-  // One logged compaction round: run index->CompactOnce(), flush dirty
-  // cache frames (same discipline as ApplyLogged — the rewritten chunks
-  // must be on the devices before the log mentions them), then append a
-  // 'C' record when the round rewrote anything. A crash anywhere inside is
-  // recovered by ReplayInto exactly like a crashed batch apply, because
-  // compaction is logically a no-op.
-  Result<CompactionStats> CompactLogged(InvertedIndex* index);
-
   // Test hook: disable the per-record fdatasync (appends still fflush).
   // Durability tests count syncs(); everything else can skip the disk
   // round-trips.
@@ -137,31 +113,17 @@ class BatchLog {
       uint64_t from_id,
       const std::function<Status(const LoggedBatch&)>& fn) const;
 
-  // Replays every unapplied batch into `index` and marks it applied.
-  Status RecoverInto(InvertedIndex* index);
-
-  // Replays ALL logged batches, applied or not, into a freshly
-  // constructed empty `index`, then marks everything applied. This is the
-  // full-rebuild recovery path for a crash that may have left device
-  // state partially written: rebuilding from nothing sidesteps "was block
-  // k's write durable?" entirely. FailedPrecondition once the log has
-  // been tail-truncated (base_epoch() > 0): the full history is gone,
-  // and only a checkpoint + ReplayFrom can reconstruct the index.
-  Status ReplayInto(InvertedIndex* index);
-
-  // Replays every batch with id >= epoch, in id order, through `apply`
-  // (applied and unapplied alike — the caller restored a checkpoint
-  // covering exactly [0, epoch) into fresh structures, so the tail is
-  // idempotent by construction), then marks the replayed batches
-  // applied. Typed failures, never silent gaps: FailedPrecondition when
-  // epoch < base_epoch() (the tail needed is already truncated away) and
-  // Corruption when an unapplied batch predates `epoch` (the checkpoint
-  // claims coverage the log contradicts).
+  // Hands every batch with id >= epoch, in id order, to `apply`
+  // (applied and unapplied alike: the caller restored a checkpoint
+  // covering exactly [0, epoch) into fresh structures, or starts from an
+  // empty index at epoch 0, so the tail is idempotent by construction),
+  // then marks the replayed batches applied. Typed failures, never silent
+  // gaps: FailedPrecondition when epoch < base_epoch() (the batches needed
+  // were truncated away after a checkpoint, which alone still holds them)
+  // and Corruption when an unapplied batch predates `epoch` (the
+  // checkpoint claims coverage the log contradicts).
   Status ReplayFrom(uint64_t epoch,
                     const std::function<Status(const LoggedBatch&)>& apply);
-  // Convenience overload applying into an InvertedIndex (same per-batch
-  // path as ReplayInto: apply, then flush dirty cache frames).
-  Status ReplayFrom(uint64_t epoch, InvertedIndex* index);
 
   // Drops every record for batches with id < new_base (all of which must
   // be applied — a checkpoint can only cover committed work) by
@@ -169,12 +131,10 @@ class BatchLog {
   // records copied byte for byte, and their commit records,
   // atomically: the rewrite goes to <path>.tmp, is synced, and renames
   // over the log, so a crash anywhere leaves either the old or the new
-  // log, never a hybrid. Compaction 'C' records describe pre-checkpoint
-  // history and are dropped. Ids keep counting from next_id().
+  // log, never a hybrid. Compaction 'C' records (earlier releases logged
+  // compaction rounds; Open still accepts them) are dropped. Ids keep
+  // counting from next_id().
   Status TruncateTo(uint64_t new_base);
-
-  // Drops all records (e.g. after a checkpoint made them redundant).
-  Status Truncate();
 
   // Arms fault injection on TruncateTo's physical steps (tmp-file chunk
   // writes, sync, rename), sharing the op counter with the checkpoint
@@ -193,10 +153,6 @@ class BatchLog {
   uint64_t base_epoch() const { return base_epoch_; }
   // Id the next appended batch will get: base_epoch() + batches_logged().
   uint64_t next_id() const { return next_id_; }
-  uint64_t compactions_logged() const { return compactions_.size(); }
-  const LoggedCompaction& compaction(uint64_t i) const {
-    return compactions_[i];
-  }
   const std::string& path() const { return path_; }
 
  private:
@@ -232,7 +188,6 @@ class BatchLog {
   // ReadPayload (into *scratch), then decode into *batch.
   Status ReadBatch(const Record& record, std::string* scratch,
                    LoggedBatch* batch) const;
-  static Status ApplyOne(InvertedIndex* index, const LoggedBatch& batch);
 
   std::string path_;
   std::FILE* file_ = nullptr;
@@ -247,7 +202,6 @@ class BatchLog {
   uint64_t end_offset_ = 0;
   std::shared_ptr<storage::FaultSchedule> fault_;
   std::vector<Record> records_;
-  std::vector<LoggedCompaction> compactions_;
   LatencyHistogram* m_append_ns_ = nullptr;
   LatencyHistogram* m_fsync_ns_ = nullptr;
   LatencyHistogram* m_replay_ns_ = nullptr;

@@ -546,26 +546,6 @@ Result<CheckpointInfo> Checkpointer::FinishInstall(storage::Superblock* sb,
   return info;
 }
 
-Result<CheckpointInfo> Checkpointer::Checkpoint(const InvertedIndex& index,
-                                                BatchLog* log) {
-  uint64_t epoch = 0;
-  if (log != nullptr) {
-    if (log->batches_unapplied() != 0) {
-      return Status::FailedPrecondition(
-          "cannot checkpoint with unapplied WAL batches: a checkpoint "
-          "covers only committed work");
-    }
-    epoch = log->next_id();
-  }
-  Result<std::unique_ptr<storage::Superblock>> sb = OpenSuperblock();
-  if (!sb.ok()) return sb.status();
-  Result<std::string> image = EncodeImage(index, epoch);
-  if (!image.ok()) return image.status();
-  const std::string name =
-      base_ + ".ckpt-" + std::to_string(NextSeq(**sb));
-  return FinishInstall(sb->get(), name, *image, epoch, log);
-}
-
 Result<CheckpointInfo> Checkpointer::Checkpoint(const ShardedIndex& index,
                                                 BatchLog* log) {
   CheckpointInfo out;
@@ -629,8 +609,8 @@ const char* RecoveryModeName(RecoveryMode mode) {
 }
 
 Result<RecoveryInfo> Checkpointer::RecoverWithoutCheckpoint(
-    BatchLog* log, const storage::Superblock& sb, std::string detail,
-    const std::function<Status(uint64_t* replayed)>& replay) {
+    ShardedIndex* index, BatchLog* log, const storage::Superblock& sb,
+    std::string detail) {
   RecoveryInfo info;
   info.detail = std::move(detail);
   // Callers get here only after rejecting every intact install record.
@@ -659,7 +639,9 @@ Result<RecoveryInfo> Checkpointer::RecoverWithoutCheckpoint(
         "; full history is unrecoverable (" + info.detail + ")");
   }
   info.mode = RecoveryMode::kFullRebuild;
-  DUPLEX_RETURN_IF_ERROR(replay(&info.batches_replayed));
+  Result<uint64_t> replayed = index->ReplayLogged(log, 0);
+  if (!replayed.ok()) return replayed.status();
+  info.batches_replayed = *replayed;
   if (installs_rejected || sb.slot_damage() > 0) {
     info.detail += (info.detail.empty() ? "" : "; ");
     info.detail += "fell back to full WAL rebuild";
@@ -667,61 +649,6 @@ Result<RecoveryInfo> Checkpointer::RecoverWithoutCheckpoint(
     info.detail = "no checkpoint installed; full WAL rebuild";
   }
   return info;
-}
-
-Result<RecoveryInfo> Checkpointer::Recover(InvertedIndex* index,
-                                           BatchLog* log) {
-  DUPLEX_CHECK(index != nullptr);
-  Result<std::unique_ptr<storage::Superblock>> sb = OpenSuperblock();
-  if (!sb.ok()) return sb.status();
-  const std::vector<storage::SuperblockRecord> records =
-      (*sb)->ValidRecords();
-  std::string detail;
-  if ((*sb)->slot_damage() > 0) {
-    detail = std::to_string((*sb)->slot_damage()) +
-             " damaged superblock slot(s)";
-  }
-  for (const storage::SuperblockRecord& record : records) {
-    const auto reject = [&](const Status& why) {
-      if (!detail.empty()) detail += "; ";
-      detail += "install " + std::to_string(record.install_seq) +
-                " rejected: " + why.ToString();
-    };
-    std::string bytes;
-    Status read = ReadVerifiedPayload(dir_, record.payload_path,
-                                      record.payload_bytes,
-                                      record.payload_checksum, &bytes);
-    if (!read.ok()) {
-      reject(read);
-      continue;
-    }
-    Result<CheckpointImage> image = ParseImage(bytes);
-    if (!image.ok()) {
-      reject(image.status());
-      continue;
-    }
-    // The candidate is intact. Geometry mismatch is a configuration
-    // error, not rot — surface it instead of quietly rebuilding.
-    DUPLEX_RETURN_IF_ERROR(ValidateGeometry(*image, index->options()));
-    DUPLEX_RETURN_IF_ERROR(RestoreImage(*image, index));
-    RecoveryInfo info;
-    info.mode = RecoveryMode::kCheckpointTail;
-    info.checkpoint_epoch = image->wal_epoch;
-    if (log != nullptr) {
-      DUPLEX_RETURN_IF_ERROR(log->ReplayFrom(image->wal_epoch, index));
-      info.batches_replayed = log->next_id() - image->wal_epoch;
-    }
-    info.detail = "restored install " + std::to_string(record.install_seq) +
-                  " (epoch " + std::to_string(image->wal_epoch) + ")";
-    if (!detail.empty()) info.detail += "; " + detail;
-    return info;
-  }
-  return RecoverWithoutCheckpoint(
-      log, **sb, std::move(detail), [&](uint64_t* replayed) {
-        DUPLEX_RETURN_IF_ERROR(log->ReplayInto(index));
-        *replayed = log->batches_logged();
-        return Status::OK();
-      });
 }
 
 Result<RecoveryInfo> Checkpointer::Recover(ShardedIndex* index,
@@ -736,21 +663,6 @@ Result<RecoveryInfo> Checkpointer::Recover(ShardedIndex* index,
     detail = std::to_string((*sb)->slot_damage()) +
              " damaged superblock slot(s)";
   }
-  // Replays one logged batch through the sharded index with the same
-  // per-batch discipline as ApplyLogged: apply, then flush dirty frames.
-  // Word strings recorded with the batch are reinstated first — the
-  // checkpoint image covers only the vocabulary as of its epoch, so words
-  // first seen in the replayed tail exist nowhere else.
-  const auto apply_batch = [index](const BatchLog::LoggedBatch& batch) {
-    DUPLEX_RETURN_IF_ERROR(
-        index->RestoreBatchWords(batch.docs, batch.words));
-    Status applied =
-        batch.materialized
-            ? index->ApplyInvertedBatch(batch.docs)
-            : index->ApplyBatchUpdate(batch.counts);
-    if (!applied.ok()) return applied;
-    return index->FlushCaches();
-  };
   for (const storage::SuperblockRecord& record : records) {
     const auto reject = [&](const Status& why) {
       if (!detail.empty()) detail += "; ";
@@ -810,9 +722,10 @@ Result<RecoveryInfo> Checkpointer::Recover(ShardedIndex* index,
     info.mode = RecoveryMode::kCheckpointTail;
     info.checkpoint_epoch = manifest->wal_epoch;
     if (log != nullptr) {
-      DUPLEX_RETURN_IF_ERROR(
-          log->ReplayFrom(manifest->wal_epoch, apply_batch));
-      info.batches_replayed = log->next_id() - manifest->wal_epoch;
+      Result<uint64_t> replayed =
+          index->ReplayLogged(log, manifest->wal_epoch);
+      if (!replayed.ok()) return replayed.status();
+      info.batches_replayed = *replayed;
     }
     info.detail = "restored install " + std::to_string(record.install_seq) +
                   " (epoch " + std::to_string(manifest->wal_epoch) + ", " +
@@ -820,17 +733,7 @@ Result<RecoveryInfo> Checkpointer::Recover(ShardedIndex* index,
     if (!detail.empty()) info.detail += "; " + detail;
     return info;
   }
-  return RecoverWithoutCheckpoint(
-      log, **sb, std::move(detail), [&](uint64_t* replayed) {
-        uint64_t count = 0;
-        DUPLEX_RETURN_IF_ERROR(
-            log->ReplayFrom(0, [&](const BatchLog::LoggedBatch& batch) {
-              ++count;
-              return apply_batch(batch);
-            }));
-        *replayed = count;
-        return Status::OK();
-      });
+  return RecoverWithoutCheckpoint(index, log, **sb, std::move(detail));
 }
 
 void Checkpointer::RemoveStaleCheckpoints(const storage::Superblock& sb) {

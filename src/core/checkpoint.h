@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/batch_log.h"
-#include "core/inverted_index.h"
 #include "storage/fault_injection.h"
 #include "storage/superblock.h"
 #include "util/status.h"
@@ -44,8 +43,8 @@ struct RecoveryInfo {
 
 struct CheckpointOptions {
   // Path prefix for every checkpoint artifact: the superblock lives at
-  // <prefix>.super, checkpoint payloads at <prefix>.ckpt-<seq> (plus
-  // -shard<k> per shard for a sharded index) in the same directory.
+  // <prefix>.super, the manifest at <prefix>.ckpt-<seq> and one image
+  // per shard at <prefix>.ckpt-<seq>-shard<k>, all in the same directory.
   std::string prefix;
   // Truncate the WAL tail after a durable install, so the log only holds
   // batches the checkpoint does not cover. Disable to keep full history
@@ -64,22 +63,24 @@ struct CheckpointInfo {
   // First WAL batch id NOT covered by this checkpoint.
   uint64_t wal_epoch = 0;
   uint64_t payload_bytes = 0;
-  // Full path of the installed payload (checkpoint image, or manifest for
-  // a sharded index).
+  // Full path of the installed manifest; shard k's image is this path
+  // plus "-shard<k>".
   std::string payload_path;
 };
 
 // The checkpoint subsystem: restart = load last durable snapshot + replay
 // only the WAL tail, instead of replaying the entire history.
 //
-// Checkpoint() serializes the index's logical state (long-list directory
+// Checkpoint() serializes each shard's logical state (long-list directory
 // postings, bucket lists, vocabulary, doc state, compaction totals) into
-// an epoch-stamped image file, installs it through the dual-slot
-// storage::Superblock, then truncates the WAL to the covered epoch. Every
-// physical step happens BEFORE the one that makes it load-bearing:
+// an epoch-stamped image file, lists the images in a manifest that also
+// carries the index-wide vocabulary and doc state, installs the manifest
+// through the dual-slot storage::Superblock, then truncates the WAL to
+// the covered epoch. Every physical step happens BEFORE the one that
+// makes it load-bearing:
 //
-//   write image -> sync -> install slot (2 half writes + sync) -> rewrite
-//   WAL tail to tmp -> sync -> rename
+//   write shard images -> write manifest -> sync -> install slot (2 half
+//   writes + sync) -> rewrite WAL tail to tmp -> sync -> rename
 //
 // so a crash at any op leaves either the previous checkpoint (slot not
 // yet flipped, old WAL intact) or the new one (slot flipped; old or new
@@ -90,36 +91,35 @@ struct CheckpointInfo {
 // block-for-block.
 //
 // Recover() walks the superblock's intact records newest-first, fully
-// validates a candidate (length, checksum, magic, geometry) before
-// touching the index, replays the WAL tail from the image's epoch, and
+// validates a candidate (manifest and every shard image: length,
+// checksum, magic, geometry) before touching the index, replays the WAL
+// tail from the manifest's epoch, and
 // degrades to a full WAL rebuild with a typed RecoveryInfo when no
 // candidate survives — never garbage: a damaged checkpoint plus a
 // truncated or empty WAL is a typed kCorruption error, not a silently
 // partial or empty index.
 //
 // Single-writer by contract, like the Superblock underneath: one
-// Checkpointer per index at a time. For ShardedIndex the checkpoint runs
-// under a quiesced view (doc mutex + every shard's shared lock), so it
-// can run concurrently with queries but serializes against batch applies.
+// Checkpointer per index at a time. The checkpoint runs under a quiesced
+// view (doc mutex + every shard's shared lock), so it can run
+// concurrently with queries but serializes against batch applies.
 class Checkpointer {
  public:
   explicit Checkpointer(CheckpointOptions options);
 
-  // Serializes `index` and installs it. `log` may be null (no WAL: epoch
-  // 0, nothing truncated). With a log, every appended batch must already
-  // be applied — FailedPrecondition otherwise, because a checkpoint can
-  // only cover committed work.
-  Result<CheckpointInfo> Checkpoint(const InvertedIndex& index,
-                                    BatchLog* log);
-  // Sharded variant: per-shard images under one manifest, captured from a
-  // quiesced view so the set of shard images is one consistent cut.
+  // Serializes `index` as one image per shard under a manifest, captured
+  // from a quiesced view so the set of shard images is one consistent
+  // cut, and installs it. `log` may be null (no WAL: epoch 0, nothing
+  // truncated). With a log, every appended batch must already be applied
+  // — FailedPrecondition otherwise, because a checkpoint can only cover
+  // committed work.
   Result<CheckpointInfo> Checkpoint(const ShardedIndex& index,
                                     BatchLog* log);
 
   // Restores into a FRESHLY CONSTRUCTED index (same options as the
-  // checkpointed one — geometry is validated, FailedPrecondition on
-  // mismatch) and replays the WAL tail. `log` may be null: restore only.
-  Result<RecoveryInfo> Recover(InvertedIndex* index, BatchLog* log);
+  // checkpointed one — shard count and geometry are validated,
+  // FailedPrecondition on mismatch) and replays the WAL tail through
+  // ShardedIndex::ReplayLogged. `log` may be null: restore only.
   Result<RecoveryInfo> Recover(ShardedIndex* index, BatchLog* log);
 
   const CheckpointOptions& options() const { return options_; }
@@ -128,20 +128,21 @@ class Checkpointer {
  private:
   // Opens the superblock with the fault schedule armed.
   Result<std::unique_ptr<storage::Superblock>> OpenSuperblock();
-  // Shared tail of both Checkpoint overloads: write `payload` to
-  // <dir>/<name> (fault-aware), install the superblock record, truncate
-  // the WAL to `epoch`, clean up unreferenced checkpoint files.
+  // Writes the manifest `payload` to <dir>/<name> (fault-aware), installs
+  // the superblock record, truncates the WAL to `epoch`, and cleans up
+  // unreferenced checkpoint files.
   Result<CheckpointInfo> FinishInstall(storage::Superblock* sb,
                                        const std::string& name,
                                        const std::string& payload,
                                        uint64_t epoch, BatchLog* log);
-  // Shared degraded tail of both Recover overloads: no usable checkpoint
-  // candidate; full WAL rebuild if the history is complete, typed error
-  // if it was truncated or if `sb` holds an intact install but the WAL
-  // holds nothing to rebuild from. `replay` runs the actual full replay.
-  Result<RecoveryInfo> RecoverWithoutCheckpoint(
-      BatchLog* log, const storage::Superblock& sb, std::string detail,
-      const std::function<Status(uint64_t* replayed)>& replay);
+  // Recover's degraded tail: no usable checkpoint candidate; full WAL
+  // rebuild into `index` if the history is complete, typed error if it
+  // was truncated or if `sb` holds an intact install but the WAL holds
+  // nothing to rebuild from.
+  Result<RecoveryInfo> RecoverWithoutCheckpoint(ShardedIndex* index,
+                                                BatchLog* log,
+                                                const storage::Superblock& sb,
+                                                std::string detail);
   // Best-effort: removes <base>.ckpt-* files not referenced by any valid
   // superblock slot (a file is referenced if it IS a slot's payload or a
   // "-shard<k>" satellite of one). Never consults the fault schedule —

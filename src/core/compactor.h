@@ -66,9 +66,8 @@ struct CompactionStats {
 // Crash safety: a rewrite frees old chunks onto the store's RELEASE list
 // (deferred to FlushEpoch) and changes only the physical layout — logical
 // postings are untouched. A crash mid-round is therefore recovered by the
-// ordinary full-rebuild WAL replay (BatchLog::ReplayInto); no compaction
-// state needs logging for correctness, and the BatchLog 'C' record the
-// index layer appends after a round is purely informational.
+// ordinary full-rebuild WAL replay (ShardedIndex::ReplayLogged from epoch
+// 0), so no compaction state is logged.
 class Compactor {
  public:
   struct Candidate {

@@ -24,8 +24,8 @@ namespace duplex::core {
 // DeltaIndex on the on-disk ShardedIndex so a live-submitted document
 // answers queries the moment its ack returns, and drains accumulated
 // deltas into the disk index in the background through the WAL commit
-// protocol FlushDocumentsLogged established (append durable -> apply ->
-// flush caches -> commit record).
+// protocol of ShardedIndex::ApplyLogged (append durable -> apply -> flush
+// caches -> commit record).
 //
 // Submit protocol (SubmitLive): under the submit lock, the documents are
 // inverted against the disk index's vocabulary and assigned the next doc

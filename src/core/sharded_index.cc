@@ -103,34 +103,77 @@ Status ShardedIndex::ApplyBatchUpdate(const text::BatchUpdate& batch) {
   });
 }
 
-Status ShardedIndex::ApplyInvertedBatch(const text::InvertedBatch& batch) {
+Status ShardedIndex::ApplyPartitioned(const text::InvertedBatch& batch,
+                                      DocId* end_doc) {
   std::vector<text::InvertedBatch> parts;
   {
     ScopedLatency timer(m_partition_ns_);
     Span span = TraceSpan("core.partition_batch");
     parts = text::PartitionBatch(batch, num_shards());
   }
-  DocId max_doc = 0;
-  bool any = false;
+  *end_doc = 0;
   for (const text::InvertedBatch::Entry& entry : batch.entries) {
     if (!entry.docs.empty()) {
-      max_doc = std::max(max_doc, entry.docs.back());
-      any = true;
+      *end_doc = std::max(*end_doc, entry.docs.back() + 1);
     }
   }
-  DUPLEX_RETURN_IF_ERROR(ParallelOverShards([&](uint32_t s) {
+  return ParallelOverShards([&](uint32_t s) {
     ScopedLatency timer(m_shard_apply_ns_[s]);
     Span span = TraceSpan("core.shard_apply");
     span.AddAttr("shard", static_cast<uint64_t>(s));
     return shards_[s]->WithWrite([&](InvertedIndex& index) {
       return index.ApplyInvertedBatch(parts[s]);
     });
-  }));
-  if (any) {
-    std::unique_lock lock(doc_mutex_);
-    next_doc_id_ = std::max(next_doc_id_, max_doc + 1);
-  }
+  });
+}
+
+Status ShardedIndex::ApplyInvertedBatch(const text::InvertedBatch& batch) {
+  DocId end_doc = 0;
+  DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
+  std::unique_lock lock(doc_mutex_);
+  next_doc_id_ = std::max(next_doc_id_, end_doc);
   return Status::OK();
+}
+
+Result<uint64_t> ShardedIndex::ApplyLogged(
+    BatchLog* log, const text::InvertedBatch& batch,
+    const std::vector<std::string>& words) {
+  std::unique_lock lock(doc_mutex_);
+  bool applied = false;
+  return ApplyLoggedLocked(log, batch, words, &applied);
+}
+
+Result<uint64_t> ShardedIndex::ApplyLoggedLocked(
+    BatchLog* log, const text::InvertedBatch& batch,
+    const std::vector<std::string>& words, bool* applied) {
+  DUPLEX_CHECK(log != nullptr);
+  Result<uint64_t> id = log->AppendBatch(batch, words);
+  if (!id.ok()) return id.status();
+  DocId end_doc = 0;
+  DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
+  next_doc_id_ = std::max(next_doc_id_, end_doc);
+  *applied = true;
+  DUPLEX_RETURN_IF_ERROR(FlushCaches());
+  DUPLEX_RETURN_IF_ERROR(log->MarkApplied(*id));
+  return id;
+}
+
+Result<uint64_t> ShardedIndex::ReplayLogged(BatchLog* log, uint64_t epoch) {
+  DUPLEX_CHECK(log != nullptr);
+  uint64_t replayed = 0;
+  DUPLEX_RETURN_IF_ERROR(
+      log->ReplayFrom(epoch, [&](const BatchLog::LoggedBatch& batch) {
+        DUPLEX_RETURN_IF_ERROR(RestoreBatchWords(batch.docs, batch.words));
+        // A count-only record reaches materialized shards through
+        // ApplyBatchUpdate, which they refuse as FailedPrecondition.
+        DUPLEX_RETURN_IF_ERROR(
+            batch.materialized && options_.shard.materialize
+                ? ApplyInvertedBatch(batch.docs)
+                : ApplyBatchUpdate(batch.counts));
+        ++replayed;
+        return FlushCaches();
+      }));
+  return replayed;
 }
 
 DocId ShardedIndex::AddDocument(const std::string& text) {
@@ -159,38 +202,31 @@ Status ShardedIndex::FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id) {
                const text::InvertedBatch::Entry& b) {
               return a.word < b.word;
             });
+  // Documents without a single word still consume their ids.
   const DocId new_next =
       next_doc_id_ + static_cast<DocId>(memory_index_.document_count());
-  uint64_t logged_id = 0;
-  if (log != nullptr) {
-    // WAL protocol step 1: the batch is durable before any shard I/O.
-    // The record carries each entry's word string so a log-only rebuild
-    // can reinstate the vocabulary, not just the postings.
-    std::vector<std::string> words;
-    words.reserve(batch.entries.size());
-    for (const text::InvertedBatch::Entry& entry : batch.entries) {
-      words.push_back(vocabulary_.WordFor(entry.word));
-    }
-    Result<uint64_t> appended = log->AppendBatch(batch, words);
-    if (!appended.ok()) return appended.status();
-    logged_id = *appended;
+  // The shards own the batch from the moment they applied it; the buffer
+  // must not serve its postings a second time, even if a later step fails.
+  const auto hand_off = [&] {
+    next_doc_id_ = std::max(next_doc_id_, new_next);
+    memory_index_.Clear();
+  };
+  if (log == nullptr) {
+    DocId end_doc = 0;
+    DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
+    hand_off();
+    return Status::OK();
   }
-  std::vector<text::InvertedBatch> parts =
-      text::PartitionBatch(batch, num_shards());
-  DUPLEX_RETURN_IF_ERROR(ParallelOverShards([&](uint32_t s) {
-    return shards_[s]->WithWrite([&](InvertedIndex& index) {
-      return index.ApplyInvertedBatch(parts[s]);
-    });
-  }));
-  next_doc_id_ = std::max(next_doc_id_, new_next);
-  memory_index_.Clear();
-  if (log != nullptr) {
-    // Steps 2-3: dirty cache frames on the devices, then the commit
-    // record — a crash in between replays the batch, never loses it.
-    DUPLEX_RETURN_IF_ERROR(FlushCaches());
-    DUPLEX_RETURN_IF_ERROR(log->MarkApplied(logged_id));
-    if (batch_id != nullptr) *batch_id = logged_id;
+  std::vector<std::string> words;
+  words.reserve(batch.entries.size());
+  for (const text::InvertedBatch::Entry& entry : batch.entries) {
+    words.push_back(vocabulary_.WordFor(entry.word));
   }
+  bool applied = false;
+  Result<uint64_t> id = ApplyLoggedLocked(log, batch, words, &applied);
+  if (applied) hand_off();
+  if (!id.ok()) return id.status();
+  if (batch_id != nullptr) *batch_id = *id;
   return Status::OK();
 }
 

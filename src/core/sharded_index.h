@@ -123,14 +123,38 @@ class ShardedIndex : public IndexReader {
   // word, and applies per shard in parallel.
   DocId AddDocument(const std::string& text);
   Status FlushDocuments();
-  // FlushDocuments under the WAL commit protocol: the inverted buffer is
-  // appended to `log` (durable) before any shard applies it, dirty cache
-  // frames are flushed after, and the commit record lands last — the
-  // ordering BatchLog::ApplyLogged documents, lifted to the sharded
-  // index. `log` may be null (plain flush); `batch_id` (optional)
-  // receives the WAL batch id, 0 when nothing was logged.
+  // FlushDocuments under the WAL commit protocol (ApplyLogged): the
+  // inverted buffer, with its word strings, is the logged batch. `log` may
+  // be null (plain flush); `batch_id` (optional) receives the WAL batch
+  // id, 0 when nothing was logged.
   Status FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id = nullptr);
   size_t buffered_documents() const;
+
+  // --- Write-ahead log (core::BatchLog) -----------------------------------
+
+  // The commit protocol for one batch: append it to `log` (durable before
+  // any shard I/O), apply it across the shards, flush every shard's dirty
+  // cache frames (write-back pools must not hold committed writes
+  // hostage), then append the commit record. A crash before the commit
+  // record replays the batch; it is never lost. `words[i]` names
+  // `batch.entries[i].word` (may be empty) so a rebuild from the log
+  // answers string-keyed queries. Holds the document mutex throughout, so
+  // a checkpoint view never sees a batch appended but not applied.
+  // Returns the batch's WAL id.
+  Result<uint64_t> ApplyLogged(BatchLog* log,
+                               const text::InvertedBatch& batch,
+                               const std::vector<std::string>& words);
+
+  // The one replay path: every batch `log` holds with id >= epoch, in id
+  // order, reinstates its recorded word strings, applies, and flushes the
+  // shards' dirty cache frames; the replayed batches are then marked
+  // applied. Call it on a freshly constructed index (epoch 0) or right
+  // after a checkpoint restore covering [0, epoch). Returns the number of
+  // batches replayed. FailedPrecondition when a checkpoint truncated the
+  // log past `epoch` (that checkpoint alone holds the missing batches) or
+  // when a count-only record meets materialized shards; Corruption for a
+  // record damaged on disk (BatchLog::ReplayFrom).
+  Result<uint64_t> ReplayLogged(BatchLog* log, uint64_t epoch);
 
   // --- Live-ingest path (used by core::LiveIndex) --------------------------
 
@@ -248,11 +272,11 @@ class ShardedIndex : public IndexReader {
   };
 
   // Runs `fn` holding the document mutex (shared) plus every shard's
-  // shared lock, acquired in ascending shard order. Because
-  // FlushDocumentsLogged holds the document mutex exclusively across its
-  // whole WAL protocol (append -> apply -> flush -> commit), a view taken
-  // here can never observe a batch that is appended but not yet applied —
-  // which is exactly the consistency a checkpoint needs. Queries proceed
+  // shared lock, acquired in ascending shard order. Because ApplyLogged
+  // holds the document mutex exclusively across its whole WAL protocol
+  // (append -> apply -> flush -> commit), a view taken here can never
+  // observe a batch that is appended but not yet applied — which is
+  // exactly the consistency a checkpoint needs. Queries proceed
   // concurrently; batch applies wait.
   Status WithCheckpointView(
       const std::function<Status(const CheckpointView&)>& fn) const;
@@ -263,16 +287,27 @@ class ShardedIndex : public IndexReader {
   Status RestoreDocState(DocId next_doc_id, std::vector<DocId> deleted,
                          const std::vector<std::string>& vocabulary_words);
 
-  // WAL-replay hook: reinstates the word strings a materialized batch
-  // record carried (`words[i]` names `batch.entries[i].word`) at their
-  // recorded ids, so a rebuild from the log answers string-keyed queries
-  // — a checkpoint image snapshots the whole vocabulary, but a
-  // log-only recovery sees words solely through these records. No-op for
-  // an empty `words` (older records carried none).
+ private:
+  // Partitions `batch` by word and applies the parts on their shards in
+  // parallel, timing both steps. Takes only shard locks. `*end_doc`
+  // receives one past the largest doc id the batch holds (0 when empty).
+  Status ApplyPartitioned(const text::InvertedBatch& batch, DocId* end_doc);
+
+  // ApplyLogged with doc_mutex_ already held exclusively. `*applied`
+  // turns true once the shards hold the batch, so the caller can account
+  // for it even if the flush or the commit record then fails.
+  Result<uint64_t> ApplyLoggedLocked(BatchLog* log,
+                                     const text::InvertedBatch& batch,
+                                     const std::vector<std::string>& words,
+                                     bool* applied);
+
+  // Reinstates the word strings a materialized batch record carried at
+  // their recorded ids: a checkpoint image snapshots the vocabulary only
+  // as of its epoch, so words first seen in a replayed batch exist nowhere
+  // else. No-op for an empty `words` (older records carried none).
   Status RestoreBatchWords(const text::InvertedBatch& batch,
                            const std::vector<std::string>& words);
 
- private:
   // Applies `fn(shard_index)` to every shard on the worker pool and
   // returns the first non-OK status in shard order.
   Status ParallelOverShards(const std::function<Status(uint32_t)>& fn);

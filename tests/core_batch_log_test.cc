@@ -9,8 +9,10 @@
 #include <fstream>
 #include <map>
 
+#include "core/inverted_index.h"
 #include "core/posting_codec.h"
 #include "core/scrub.h"
+#include "core/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "util/hash.h"
 
@@ -63,6 +65,15 @@ class BatchLogTest : public ::testing::Test {
     o.disks.blocks_per_disk = 1 << 16;
     o.disks.block_size_bytes = 80;
     o.materialize = materialize;
+    return o;
+  }
+
+  // Options() for each of `shards` shards.
+  static ShardedIndexOptions Sharded(bool materialize = false,
+                                     uint32_t shards = 2) {
+    ShardedIndexOptions o;
+    o.shard = Options(materialize);
+    o.num_shards = shards;
     return o;
   }
 
@@ -270,8 +281,8 @@ TEST_F(BatchLogTest, FailedSyncRejectsAppendButRecordSurvivesReopen) {
   EXPECT_EQ((*reopened)->UnappliedBatches().size(), 3u);
 }
 
-TEST_F(BatchLogTest, ReplayIntoRebuildsTheFullyAppliedState) {
-  InvertedIndex reference(Options(true));
+TEST_F(BatchLogTest, ReplayLoggedRebuildsTheFullyAppliedState) {
+  ShardedIndex reference(Sharded(true));
   {
     Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
     ASSERT_TRUE(log.ok());
@@ -281,7 +292,7 @@ TEST_F(BatchLogTest, ReplayIntoRebuildsTheFullyAppliedState) {
     text::InvertedBatch b1;
     b1.entries = {{1, {3, 4}}, {9, {4}}};
     // b0 committed, b1 crashed mid-apply (simulated: logged only).
-    ASSERT_TRUE((*log)->ApplyLogged(&reference, b0).ok());
+    ASSERT_TRUE(reference.ApplyLogged(log->get(), b0, {}).ok());
     ASSERT_TRUE((*log)->AppendBatch(b1).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(b1).ok());
   }
@@ -289,8 +300,10 @@ TEST_F(BatchLogTest, ReplayIntoRebuildsTheFullyAppliedState) {
   ASSERT_TRUE(log.ok());
   EXPECT_EQ((*log)->UnappliedBatches().size(), 1u);
   // Full-rebuild recovery: fresh index, replay EVERYTHING.
-  InvertedIndex recovered(Options(true));
-  ASSERT_TRUE((*log)->ReplayInto(&recovered).ok());
+  ShardedIndex recovered(Sharded(true));
+  Result<uint64_t> replayed = recovered.ReplayLogged(log->get(), 0);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(*replayed, 2u);
   EXPECT_TRUE((*log)->UnappliedBatches().empty());
   for (const WordId w : {1u, 4u, 9u}) {
     Result<std::vector<DocId>> expect = reference.GetPostings(w);
@@ -320,9 +333,9 @@ TEST_F(BatchLogTest, CorruptedMiddleRecordIsFatal) {
   EXPECT_EQ(log.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(BatchLogTest, RecoverIntoReplaysExactly) {
+TEST_F(BatchLogTest, ReplayFromTheFirstUnappliedBatchReplaysExactly) {
   // "Crash" after applying only the first of three logged batches.
-  InvertedIndex reference(Options());
+  ShardedIndex reference(Sharded());
   {
     Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
     ASSERT_TRUE(log.ok());
@@ -337,16 +350,17 @@ TEST_F(BatchLogTest, RecoverIntoReplaysExactly) {
     ASSERT_TRUE(reference.ApplyBatchUpdate(b1).ok());
     ASSERT_TRUE(reference.ApplyBatchUpdate(b2).ok());
   }
-  // Recovery: rebuild from scratch (no snapshot here), replaying ALL
-  // batches would double-apply batch 0 — so recover a fresh index by
-  // first replaying the applied prefix manually (stands in for Snapshot),
-  // then RecoverInto for the rest.
+  // Replaying ALL batches onto the committed prefix would double-apply
+  // batch 0 — so apply the prefix directly (stands in for a checkpoint
+  // restore), then replay from the first unapplied batch.
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
-  InvertedIndex recovered(Options());
+  ShardedIndex recovered(Sharded());
   ASSERT_TRUE(
       recovered.ApplyBatchUpdate(CountBatch({{1, 40}, {2, 3}})).ok());
-  ASSERT_TRUE((*log)->RecoverInto(&recovered).ok());
+  Result<uint64_t> replayed = recovered.ReplayLogged(log->get(), 1);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(*replayed, 2u);
   EXPECT_TRUE((*log)->UnappliedBatches().empty());
   for (const WordId w : {1u, 2u, 3u}) {
     EXPECT_EQ(recovered.Locate(w).postings, reference.Locate(w).postings)
@@ -360,8 +374,8 @@ TEST_F(BatchLogTest, RecoverMaterializedIndex) {
   text::InvertedBatch batch;
   batch.entries = {{1, {0, 1, 2}}, {4, {2}}};
   ASSERT_TRUE((*log)->AppendBatch(batch).ok());
-  InvertedIndex index(Options(true));
-  ASSERT_TRUE((*log)->RecoverInto(&index).ok());
+  ShardedIndex index(Sharded(true));
+  ASSERT_TRUE(index.ReplayLogged(log->get(), 0).ok());
   Result<std::vector<DocId>> docs = index.GetPostings(WordId{1});
   ASSERT_TRUE(docs.ok());
   EXPECT_EQ(*docs, (std::vector<DocId>{0, 1, 2}));
@@ -371,22 +385,9 @@ TEST_F(BatchLogTest, RecoverModeMismatchFails) {
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE((*log)->AppendBatch(CountBatch({{1, 2}})).ok());
-  InvertedIndex materialized(Options(true));
-  EXPECT_EQ((*log)->RecoverInto(&materialized).code(),
+  ShardedIndex materialized(Sharded(true));
+  EXPECT_EQ(materialized.ReplayLogged(log->get(), 0).status().code(),
             StatusCode::kFailedPrecondition);
-}
-
-TEST_F(BatchLogTest, TruncateClearsEverything) {
-  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
-  ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->AppendBatch(CountBatch({{1, 2}})).ok());
-  ASSERT_TRUE((*log)->Truncate().ok());
-  EXPECT_EQ((*log)->batches_logged(), 0u);
-  // Ids restart and the file is reusable.
-  EXPECT_EQ(*(*log)->AppendBatch(CountBatch({{5, 5}})), 0u);
-  Result<std::unique_ptr<BatchLog>> reopened = BatchLog::Open(path_);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->batches_logged(), 1u);
 }
 
 TEST_F(BatchLogTest, FsyncToggleCountsSyncs) {
@@ -418,21 +419,35 @@ TEST_F(BatchLogTest, ApplyLoggedRunsTheFullCommitProtocol) {
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
   (*log)->set_fsync(false);
-  InvertedIndex index(Options());
-  ASSERT_TRUE((*log)->ApplyLogged(&index, CountBatch({{1, 3}, {2, 5}})).ok());
-  ASSERT_TRUE((*log)->ApplyLogged(&index, CountBatch({{1, 4}})).ok());
+  ShardedIndex index(Sharded(true));
+  text::InvertedBatch b0;
+  b0.entries = {{1, {0, 1, 2}}, {2, {0, 1, 2, 3, 4}}};
+  text::InvertedBatch b1;
+  b1.entries = {{1, {5, 6, 7, 8}}};
+  EXPECT_EQ(*index.ApplyLogged(log->get(), b0, {}), 0u);
+  EXPECT_EQ(*index.ApplyLogged(log->get(), b1, {}), 1u);
   EXPECT_EQ((*log)->batches_logged(), 2u);
   EXPECT_EQ((*log)->batches_applied(), 2u);
   EXPECT_TRUE((*log)->UnappliedBatches().empty());
   EXPECT_EQ(index.Locate(WordId{1}).postings, 7u);
   EXPECT_EQ(index.Locate(WordId{2}).postings, 5u);
+  EXPECT_EQ(index.next_doc_id(), 9u);
 }
 
 TEST_F(BatchLogTest, ApplyLoggedFlushesWriteBackFramesBeforeCommit) {
-  IndexOptions options = Options(true);
-  options.cache.capacity_blocks = 32;
-  options.cache.mode = storage::CacheMode::kWriteBack;
-  InvertedIndex index(options);
+  ShardedIndexOptions options = Sharded(true);
+  options.shard.cache.capacity_blocks = 32;
+  options.shard.cache.mode = storage::CacheMode::kWriteBack;
+  ShardedIndex index(options);
+  const auto writebacks = [&index] {
+    uint64_t total = 0;
+    for (uint32_t k = 0; k < index.num_shards(); ++k) {
+      total += index.shard(k).WithRead([](const InvertedIndex& shard) {
+        return shard.cache_stats().dirty_writebacks;
+      });
+    }
+    return total;
+  };
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
   (*log)->set_fsync(false);
@@ -441,15 +456,15 @@ TEST_F(BatchLogTest, ApplyLoggedFlushesWriteBackFramesBeforeCommit) {
   std::vector<DocId> docs;
   for (DocId d = 0; d < 40; ++d) docs.push_back(d);
   batch.entries = {{0, docs}, {1, {2, 9}}};
-  ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+  ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
   EXPECT_EQ((*log)->batches_applied(), 1u);
-  // The protocol flushed every dirty frame before MarkApplied: the pool
-  // pushed writes down and holds nothing dirty now, so another flush is a
+  // The protocol flushed every dirty frame before MarkApplied: the pools
+  // pushed writes down and hold nothing dirty now, so another flush is a
   // no-op.
-  const uint64_t writebacks = index.cache_stats().dirty_writebacks;
-  EXPECT_GT(writebacks, 0u);
+  const uint64_t flushed = writebacks();
+  EXPECT_GT(flushed, 0u);
   ASSERT_TRUE(index.FlushCaches().ok());
-  EXPECT_EQ(index.cache_stats().dirty_writebacks, writebacks);
+  EXPECT_EQ(writebacks(), flushed);
 }
 
 // --- Tail truncation (the checkpoint contract) -----------------------------
@@ -548,7 +563,7 @@ TEST_F(BatchLogTest, TruncateAtEveryRecordReplaysTheExactTail) {
                  {static_cast<WordId>(7), {static_cast<DocId>(i * 2 + 1)}}};
     batches.push_back(std::move(b));
   }
-  InvertedIndex reference(Options(true));
+  ShardedIndex reference(Sharded(true));
   for (const auto& b : batches) {
     ASSERT_TRUE(reference.ApplyInvertedBatch(b).ok());
   }
@@ -560,9 +575,9 @@ TEST_F(BatchLogTest, TruncateAtEveryRecordReplaysTheExactTail) {
       Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path);
       ASSERT_TRUE(log.ok());
       (*log)->set_fsync(false);
-      InvertedIndex scratch(Options(true));
+      ShardedIndex scratch(Sharded(true));
       for (const auto& b : batches) {
-        ASSERT_TRUE((*log)->ApplyLogged(&scratch, b).ok());
+        ASSERT_TRUE(scratch.ApplyLogged(log->get(), b, {}).ok());
       }
       ASSERT_TRUE((*log)->TruncateTo(k).ok()) << "k=" << k;
     }
@@ -571,16 +586,18 @@ TEST_F(BatchLogTest, TruncateAtEveryRecordReplaysTheExactTail) {
     EXPECT_EQ((*log)->batches_logged(), kBatchCount - k);
     // "Checkpoint restore": apply the covered prefix directly, then
     // replay the surviving tail.
-    InvertedIndex recovered(Options(true));
+    ShardedIndex recovered(Sharded(true));
     for (uint64_t i = 0; i < k; ++i) {
       ASSERT_TRUE(recovered.ApplyInvertedBatch(batches[i]).ok());
     }
-    ASSERT_TRUE((*log)->ReplayFrom(k, &recovered).ok()) << "k=" << k;
+    ASSERT_TRUE(recovered.ReplayLogged(log->get(), k).ok()) << "k=" << k;
     for (const WordId w : {0u, 1u, 2u, 3u, 7u}) {
       Result<std::vector<DocId>> expect = reference.GetPostings(w);
       Result<std::vector<DocId>> got = recovered.GetPostings(w);
       ASSERT_EQ(expect.ok(), got.ok()) << "k=" << k << " word " << w;
-      if (expect.ok()) EXPECT_EQ(*expect, *got) << "k=" << k << " word " << w;
+      if (expect.ok()) {
+        EXPECT_EQ(*expect, *got) << "k=" << k << " word " << w;
+      }
     }
     std::remove(path.c_str());
   }
@@ -597,43 +614,35 @@ TEST_F(BatchLogTest, ReplayFromBelowBaseEpochIsFailedPrecondition) {
     ASSERT_TRUE((*log)->MarkApplied(*id).ok());
   }
   ASSERT_TRUE((*log)->TruncateTo(2).ok());
-  InvertedIndex index(Options());
+  ShardedIndex index(Sharded());
   // The records for [1, 2) are gone; claiming a checkpoint at epoch 1
   // demands history the log no longer has.
-  EXPECT_TRUE((*log)->ReplayFrom(1, &index).IsFailedPrecondition());
-  // Full replay is equally impossible.
-  EXPECT_TRUE((*log)->ReplayInto(&index).IsFailedPrecondition());
+  EXPECT_TRUE(index.ReplayLogged(log->get(), 1).status().IsFailedPrecondition());
+  // Full replay is equally impossible, and the refusal points at the
+  // checkpoint that holds the missing batches.
+  const Status full = index.ReplayLogged(log->get(), 0).status();
+  EXPECT_TRUE(full.IsFailedPrecondition()) << full;
+  EXPECT_NE(full.message().find("--checkpoint"), std::string::npos) << full;
+  EXPECT_EQ(index.Stats().total_postings, 0u);
 }
 
 TEST_F(BatchLogTest, ReplayFromMarksUnappliedTailApplied) {
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
   ASSERT_TRUE(log.ok());
   (*log)->set_fsync(false);
-  InvertedIndex index(Options());
-  ASSERT_TRUE((*log)->ApplyLogged(&index, CountBatch({{1, 2}})).ok());
+  text::InvertedBatch b0;
+  b0.entries = {{1, {0, 1}}};
+  text::InvertedBatch b1;
+  b1.entries = {{2, {2, 3, 4}}};
+  ShardedIndex applied(Sharded(true));
+  ASSERT_TRUE(applied.ApplyLogged(log->get(), b0, {}).ok());
   // Batch 1 crashed mid-apply: durable, never committed.
-  ASSERT_TRUE((*log)->AppendBatch(CountBatch({{2, 3}})).ok());
+  ASSERT_TRUE((*log)->AppendBatch(b1).ok());
   EXPECT_EQ((*log)->UnappliedBatches().size(), 1u);
 
-  InvertedIndex recovered(Options());
-  ASSERT_TRUE((*log)->ReplayFrom(0, &recovered).ok());
+  ShardedIndex recovered(Sharded(true));
+  ASSERT_TRUE(recovered.ReplayLogged(log->get(), 0).ok());
   EXPECT_TRUE((*log)->UnappliedBatches().empty());
-}
-
-TEST_F(BatchLogTest, FullTruncateResetsTheEpochBase) {
-  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
-  ASSERT_TRUE(log.ok());
-  (*log)->set_fsync(false);
-  Result<uint64_t> id = (*log)->AppendBatch(CountBatch({{1, 1}}));
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE((*log)->MarkApplied(*id).ok());
-  ASSERT_TRUE((*log)->TruncateTo(1).ok());
-  EXPECT_EQ((*log)->base_epoch(), 1u);
-  // Truncate() is the "snapshot made the whole log redundant" path: ids
-  // restart from zero.
-  ASSERT_TRUE((*log)->Truncate().ok());
-  EXPECT_EQ((*log)->base_epoch(), 0u);
-  EXPECT_EQ((*log)->next_id(), 0u);
 }
 
 TEST_F(BatchLogTest, CrashDuringTruncateToKeepsTheOldLog) {
@@ -768,7 +777,7 @@ std::vector<text::InvertedBatch> History() {
   return batches;
 }
 
-std::map<WordId, std::vector<DocId>> AllPostings(const InvertedIndex& index) {
+std::map<WordId, std::vector<DocId>> AllPostings(const IndexReader& index) {
   std::map<WordId, std::vector<DocId>> out;
   for (WordId w = 0; w < 8; ++w) {
     Result<std::vector<DocId>> docs = index.GetPostings(w);
@@ -783,19 +792,19 @@ class BatchLogIndexTest : public BatchLogTest {
   // went through ApplyLogged, the rest were appended but never committed.
   std::unique_ptr<BatchLog> MakeLive(const std::string& path,
                                      uint64_t applied,
-                                     InvertedIndex* index = nullptr) {
+                                     ShardedIndex* index = nullptr) {
     std::remove(path.c_str());
     cleanup_.push_back(path);
     Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path);
     EXPECT_TRUE(log.ok()) << log.status();
     (*log)->set_fsync(false);
-    InvertedIndex scratch(Options(true));
+    ShardedIndex scratch(Sharded(true));
     if (index == nullptr) index = &scratch;
     const std::vector<text::InvertedBatch> batches = History();
     for (uint64_t i = 0; i < batches.size(); ++i) {
-      const Status s = i < applied
-                           ? (*log)->ApplyLogged(index, batches[i])
-                           : (*log)->AppendBatch(batches[i]).status();
+      const Status s =
+          i < applied ? index->ApplyLogged(log->get(), batches[i], {}).status()
+                      : (*log)->AppendBatch(batches[i]).status();
       EXPECT_TRUE(s.ok()) << s;
     }
     return std::move(*log);
@@ -814,7 +823,7 @@ class BatchLogIndexTest : public BatchLogTest {
 
   // An index holding the first `n` batches of History(), applied directly
   // (stands in for a checkpoint restore).
-  static void ApplyPrefix(uint64_t n, InvertedIndex* index) {
+  static void ApplyPrefix(uint64_t n, ShardedIndex* index) {
     const std::vector<text::InvertedBatch> batches = History();
     for (uint64_t i = 0; i < n; ++i) {
       ASSERT_TRUE(index->ApplyInvertedBatch(batches[i]).ok());
@@ -830,38 +839,26 @@ class BatchLogIndexTest : public BatchLogTest {
 };
 
 TEST_F(BatchLogIndexTest, ReopenedLogRecoversLikeTheLiveObject) {
-  InvertedIndex reference(Options(true));
+  ShardedIndex reference(Sharded(true));
   ApplyPrefix(6, &reference);
 
-  // RecoverInto: the uncommitted tail replays onto the committed prefix.
-  {
-    std::unique_ptr<BatchLog> live = MakeLive(path_ + "_recover", 3);
-    std::unique_ptr<BatchLog> reopened = Reopen(*live);
-    InvertedIndex from_live(Options(true));
-    InvertedIndex from_reopened(Options(true));
-    ApplyPrefix(3, &from_live);
-    ApplyPrefix(3, &from_reopened);
-    ASSERT_TRUE(live->RecoverInto(&from_live).ok());
-    ASSERT_TRUE(reopened->RecoverInto(&from_reopened).ok());
-    EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
-    EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
-    EXPECT_EQ(live->batches_unapplied(), 0u);
-    EXPECT_EQ(reopened->batches_unapplied(), 0u);
-  }
-  // ReplayFrom at every epoch the log can serve.
+  // Replay at every epoch the log can serve; at epoch 3 the uncommitted
+  // tail replays onto exactly the committed prefix.
   for (uint64_t epoch = 0; epoch <= 3; ++epoch) {
     SCOPED_TRACE("epoch " + std::to_string(epoch));
     std::unique_ptr<BatchLog> live =
         MakeLive(path_ + "_from" + std::to_string(epoch), 3);
     std::unique_ptr<BatchLog> reopened = Reopen(*live);
-    InvertedIndex from_live(Options(true));
-    InvertedIndex from_reopened(Options(true));
+    ShardedIndex from_live(Sharded(true));
+    ShardedIndex from_reopened(Sharded(true));
     ApplyPrefix(epoch, &from_live);
     ApplyPrefix(epoch, &from_reopened);
-    ASSERT_TRUE(live->ReplayFrom(epoch, &from_live).ok());
-    ASSERT_TRUE(reopened->ReplayFrom(epoch, &from_reopened).ok());
+    ASSERT_TRUE(from_live.ReplayLogged(live.get(), epoch).ok());
+    ASSERT_TRUE(from_reopened.ReplayLogged(reopened.get(), epoch).ok());
     EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
     EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
+    EXPECT_EQ(live->batches_unapplied(), 0u);
+    EXPECT_EQ(reopened->batches_unapplied(), 0u);
   }
   // TruncateTo, then the checkpoint-tail replay: same file, same index.
   {
@@ -873,36 +870,39 @@ TEST_F(BatchLogIndexTest, ReopenedLogRecoversLikeTheLiveObject) {
     // Appends after the truncation land at the right offsets too.
     ASSERT_TRUE(live->MarkApplied(5).ok());
     ASSERT_TRUE(reopened->MarkApplied(5).ok());
-    InvertedIndex from_live(Options(true));
-    InvertedIndex from_reopened(Options(true));
+    ShardedIndex from_live(Sharded(true));
+    ShardedIndex from_reopened(Sharded(true));
     ApplyPrefix(2, &from_live);
     ApplyPrefix(2, &from_reopened);
-    ASSERT_TRUE(live->ReplayFrom(2, &from_live).ok());
-    ASSERT_TRUE(reopened->ReplayFrom(2, &from_reopened).ok());
+    ASSERT_TRUE(from_live.ReplayLogged(live.get(), 2).ok());
+    ASSERT_TRUE(from_reopened.ReplayLogged(reopened.get(), 2).ok());
     EXPECT_EQ(AllPostings(from_live), AllPostings(reference));
     EXPECT_EQ(AllPostings(from_reopened), AllPostings(reference));
   }
 }
 
 TEST_F(BatchLogIndexTest, ScrubRepairsAlikeFromLiveAndReopenedLog) {
-  IndexOptions options = Options(true);
-  options.disks.checksums = true;
-  options.policy = Policy::WholeZ();
-  InvertedIndex with_live(options);
-  InvertedIndex with_reopened(options);
+  // One shard, so the shard's index is the whole index.
+  ShardedIndexOptions options = Sharded(true, 1);
+  options.shard.disks.checksums = true;
+  options.shard.policy = Policy::WholeZ();
+  ShardedIndex with_live(options);
+  ShardedIndex with_reopened(options);
   std::unique_ptr<BatchLog> live =
       MakeLive(path_ + "_scrub", 6, &with_live);
   std::unique_ptr<BatchLog> reopened = Reopen(*live);
   ApplyPrefix(6, &with_reopened);
   const std::map<WordId, std::vector<DocId>> expected =
       AllPostings(with_live);
+  InvertedIndex& live_index = with_live.shard(0).index_unlocked();
+  InvertedIndex& reopened_index = with_reopened.shard(0).index_unlocked();
 
   // Rot one byte of the first long list's first chunk in both indexes.
-  const auto& lists = with_live.long_list_store().directory().lists();
+  const auto& lists = live_index.long_list_store().directory().lists();
   ASSERT_FALSE(lists.empty());
   WordId victim = lists.begin()->first;
   for (const auto& [word, list] : lists) victim = std::min(victim, word);
-  for (InvertedIndex* index : {&with_live, &with_reopened}) {
+  for (InvertedIndex* index : {&live_index, &reopened_index}) {
     const LongList* list =
         index->long_list_store().directory().Find(victim);
     ASSERT_NE(list, nullptr);
@@ -914,9 +914,9 @@ TEST_F(BatchLogIndexTest, ScrubRepairsAlikeFromLiveAndReopenedLog) {
     ASSERT_TRUE(dev->Write(range.start, 0, &byte, 1).ok());
   }
 
-  Result<ScrubReport> live_report = ScrubIndex(&with_live, live.get());
+  Result<ScrubReport> live_report = ScrubIndex(&live_index, live.get());
   Result<ScrubReport> reopened_report =
-      ScrubIndex(&with_reopened, reopened.get());
+      ScrubIndex(&reopened_index, reopened.get());
   ASSERT_TRUE(live_report.ok()) << live_report.status();
   ASSERT_TRUE(reopened_report.ok()) << reopened_report.status();
   EXPECT_EQ(live_report->repaired, (std::vector<WordId>{victim}));
@@ -992,11 +992,11 @@ TEST_F(BatchLogTest, LogFromThePreviousReleaseOpensAndReplays) {
   EXPECT_EQ(batches[2].words, (std::vector<std::string>{"alpha", "beta"}));
 
   // "Checkpoint" covering batch 0, then the tail.
-  InvertedIndex recovered(Options(true));
+  ShardedIndex recovered(Sharded(true));
   text::InvertedBatch b0;
   b0.entries = {{1, {0, 1, 2}}, {4, {2}}};
   ASSERT_TRUE(recovered.ApplyInvertedBatch(b0).ok());
-  ASSERT_TRUE((*log)->ReplayFrom(1, &recovered).ok());
+  ASSERT_TRUE(recovered.ReplayLogged(log->get(), 1).ok());
   EXPECT_EQ(*recovered.GetPostings(WordId{1}),
             (std::vector<DocId>{0, 1, 2, 3, 4, 7}));
   EXPECT_EQ(*recovered.GetPostings(WordId{2}), (std::vector<DocId>{7, 8}));
@@ -1005,6 +1005,79 @@ TEST_F(BatchLogTest, LogFromThePreviousReleaseOpensAndReplays) {
   EXPECT_EQ(*recovered.GetPostings(WordId{9}),
             (std::vector<DocId>{4, 5, 9}));
   EXPECT_EQ((*log)->batches_unapplied(), 0u);
+}
+
+// A log from the release that still logged compaction rounds: batches
+// 0..2 applied, then one compaction round ('C' record: 1 list, 2 blocks
+// reclaimed, 16 postings rewritten), then batch 3 (with word strings)
+// appended and left uncommitted.
+constexpr unsigned char kCompactionRecordLog[] = {
+    0x42, 0x0e, 0x00, 0x01, 0x02, 0x01, 0x06, 0x00, 0x01, 0x01, 0x01, 0x01,
+    0x01, 0x02, 0x01, 0x00, 0x07, 0x1e, 0xe1, 0xc0, 0x3f, 0xc2, 0x20, 0x1b,
+    0x41, 0x01, 0x00, 0x04, 0x57, 0xa1, 0xb5, 0x07, 0xa2, 0x08, 0x09, 0x42,
+    0x0a, 0x01, 0x01, 0x01, 0x01, 0x05, 0x06, 0x01, 0x01, 0x01, 0x01, 0x32,
+    0x8d, 0x34, 0x09, 0xfc, 0xf3, 0x27, 0x8d, 0x41, 0x01, 0x01, 0xb7, 0x58,
+    0xa1, 0xb5, 0x07, 0xa3, 0x08, 0x09, 0x42, 0x0d, 0x02, 0x01, 0x02, 0x01,
+    0x05, 0x0b, 0x01, 0x01, 0x01, 0x01, 0x02, 0x01, 0x0f, 0xcd, 0x1f, 0x79,
+    0xe0, 0x24, 0x0c, 0x26, 0x6d, 0x41, 0x01, 0x02, 0x6a, 0x5a, 0xa1, 0xb5,
+    0x07, 0xa4, 0x08, 0x09, 0x43, 0x03, 0x01, 0x02, 0x10, 0x93, 0x9e, 0x60,
+    0x86, 0x9d, 0x5b, 0x7b, 0xf4, 0x42, 0x16, 0x03, 0x03, 0x02, 0x01, 0x01,
+    0x10, 0x03, 0x02, 0x10, 0x01, 0x05, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x05,
+    0x67, 0x61, 0x6d, 0x6d, 0x61, 0x78, 0x7f, 0xb1, 0xb9, 0x9f, 0x90, 0x04,
+    0xfb,
+};
+
+TEST_F(BatchLogTest, LogWithACompactionRecordOpensReplaysAndTruncates) {
+  const std::string golden(reinterpret_cast<const char*>(kCompactionRecordLog),
+                           sizeof(kCompactionRecordLog));
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << golden;
+  }
+  Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(path_);
+  ASSERT_TRUE(log.ok()) << log.status();
+  (*log)->set_fsync(false);
+  // The 'C' record is verified and skipped: the batch ids around it are
+  // the ones written.
+  EXPECT_EQ((*log)->base_epoch(), 0u);
+  EXPECT_EQ((*log)->next_id(), 4u);
+  EXPECT_EQ((*log)->batches_logged(), 4u);
+  EXPECT_EQ((*log)->batches_applied(), 3u);
+  EXPECT_EQ((*log)->UnappliedBatches(), (std::vector<uint64_t>{3}));
+  const std::vector<BatchLog::LoggedBatch> batches = ReadAll(**log);
+  ASSERT_EQ(batches.size(), 4u);
+  for (uint64_t i = 0; i < batches.size(); ++i) EXPECT_EQ(batches[i].id, i);
+  EXPECT_EQ(batches[3].words, (std::vector<std::string>{"alpha", "gamma"}));
+  // Opening changed nothing on disk.
+  EXPECT_EQ(FileBytes(path_), golden);
+
+  // The batches replay past the 'C' record into a fresh index.
+  ShardedIndex recovered(Sharded(true));
+  Result<uint64_t> replayed = recovered.ReplayLogged(log->get(), 0);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(*replayed, 4u);
+  EXPECT_EQ(*recovered.GetPostings(WordId{1}),
+            (std::vector<DocId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                14, 15, 16}));
+  EXPECT_EQ(*recovered.GetPostings(WordId{2}), (std::vector<DocId>{0, 15}));
+  EXPECT_EQ(*recovered.GetPostings("gamma"), (std::vector<DocId>{16, 17}));
+  EXPECT_EQ(recovered.next_doc_id(), 18u);
+  EXPECT_EQ((*log)->batches_unapplied(), 0u);
+
+  // TruncateTo drops the 'C' record with the covered prefix: the new file
+  // is the base record, the surviving batch records and their commits.
+  ASSERT_TRUE((*log)->TruncateTo(2).ok());
+  std::string expected = IdRecord('E', 2);
+  expected += EncodeBatchRecord(batches[2]);
+  expected += EncodeBatchRecord(batches[3]);
+  expected += IdRecord('A', 2);
+  expected += IdRecord('A', 3);
+  EXPECT_EQ(FileBytes(path_), expected);
+  Result<std::unique_ptr<BatchLog>> reopened = BatchLog::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->base_epoch(), 2u);
+  EXPECT_EQ((*reopened)->next_id(), 4u);
+  EXPECT_EQ((*reopened)->batches_unapplied(), 0u);
 }
 
 TEST_F(BatchLogIndexTest, RecordDamagedAfterOpenIsTypedCorruption) {
@@ -1043,17 +1116,17 @@ TEST_F(BatchLogIndexTest, RecordDamagedAfterOpenIsTypedCorruption) {
       f.put(static_cast<char>(old ^ flip));
     }
 
-    InvertedIndex replayed(Options(true));
-    const Status replay = log->ReplayInto(&replayed);
+    ShardedIndex replayed(Sharded(true));
+    const Status replay = replayed.ReplayLogged(log.get(), 0).status();
     EXPECT_TRUE(replay.IsCorruption()) << replay;
     // Batch 0 applied before the damaged record was reached, and nothing
     // after it: a correct prefix, never wrong postings.
-    InvertedIndex prefix(Options(true));
+    ShardedIndex prefix(Sharded(true));
     ApplyPrefix(1, &prefix);
     EXPECT_EQ(AllPostings(replayed), AllPostings(prefix));
+    // The failed replay committed nothing.
+    EXPECT_EQ(log->batches_unapplied(), 6u);
 
-    InvertedIndex recovered(Options(true));
-    EXPECT_TRUE(log->RecoverInto(&recovered).IsCorruption());
     EXPECT_TRUE(log->ForEachBatch(1, [](const BatchLog::LoggedBatch&) {
                       return Status::OK();
                     }).IsCorruption());
@@ -1097,8 +1170,8 @@ TEST_F(BatchLogTest, FailedSyncRecordIsReadBackAndKeepsIdsDense) {
     EXPECT_EQ(live[i].counts.pairs, from_disk[i].counts.pairs);
   }
   EXPECT_EQ(live[1].docs.entries.size(), 2u);
-  InvertedIndex recovered(Options(true));
-  ASSERT_TRUE((*log)->RecoverInto(&recovered).ok());
+  ShardedIndex recovered(Sharded(true));
+  ASSERT_TRUE(recovered.ReplayLogged(log->get(), 0).ok());
   EXPECT_EQ(*recovered.GetPostings(WordId{2}), (std::vector<DocId>{1, 2}));
 }
 

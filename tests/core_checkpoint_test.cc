@@ -1,5 +1,5 @@
-// Checkpoint + recover round trips: single index, document path, sharded
-// manifests, damaged-candidate fallback, and the typed degradation ladder
+// Checkpoint + recover round trips through the manifest layout: batches,
+// document path, damaged-candidate fallback, and the typed degradation ladder
 // (fast path -> older install -> full rebuild -> kCorruption when the WAL
 // tail is gone too). Crash-at-every-op sweeps live in
 // integration_checkpoint_crash_sweep_test.cc.
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +19,9 @@
 
 #include "core/batch_log.h"
 #include "core/sharded_index.h"
+#include "storage/superblock.h"
 #include "text/batch.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace duplex::core {
@@ -67,20 +70,32 @@ std::vector<text::InvertedBatch> MakeBatches(int count, uint64_t seed) {
   return batches;
 }
 
-void ExpectSamePostings(const InvertedIndex& recovered,
-                        const InvertedIndex& reference) {
+ShardedIndexOptions ShardedOptions(uint32_t shards = 3) {
+  ShardedIndexOptions options;
+  options.shard = SmallOptions();
+  options.num_shards = shards;
+  return options;
+}
+
+void ExpectSamePostings(const ShardedIndex& recovered,
+                        const ShardedIndex& reference) {
   for (WordId w = 0; w < kWords; ++w) {
     const Result<std::vector<DocId>> expect = reference.GetPostings(w);
     const Result<std::vector<DocId>> got = recovered.GetPostings(w);
     ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-    if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
+    if (expect.ok()) {
+      EXPECT_EQ(*expect, *got) << "word " << w;
+    }
     EXPECT_EQ(reference.Locate(w).exists, recovered.Locate(w).exists)
         << "word " << w;
     EXPECT_EQ(reference.Locate(w).is_long, recovered.Locate(w).is_long)
         << "word " << w;
   }
   EXPECT_EQ(reference.next_doc_id(), recovered.next_doc_id());
-  EXPECT_EQ(reference.deleted_docs(), recovered.deleted_docs());
+  EXPECT_EQ(reference.deleted_count(), recovered.deleted_count());
+  for (DocId d = 0; d < reference.next_doc_id(); ++d) {
+    EXPECT_EQ(reference.IsDeleted(d), recovered.IsDeleted(d)) << "doc " << d;
+  }
   const IndexStats expect_stats = reference.Stats();
   const IndexStats got_stats = recovered.Stats();
   EXPECT_EQ(expect_stats.total_postings, got_stats.total_postings);
@@ -141,14 +156,14 @@ class CheckpointTest : public ::testing::Test {
 };
 
 TEST_F(CheckpointTest, EmptyIndexRoundTrip) {
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();
   Result<CheckpointInfo> info = checkpointer.Checkpoint(index, nullptr);
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->install_seq, 1u);
   EXPECT_EQ(info->wal_epoch, 0u);
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, nullptr);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(rec->mode, RecoveryMode::kCheckpointTail);
@@ -159,10 +174,10 @@ TEST_F(CheckpointTest, EmptyIndexRoundTrip) {
 TEST_F(CheckpointTest, RoundTripCoversAllStateAndReplaysNothing) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(6, 17);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex index(ShardedOptions());
+  ShardedIndex reference(ShardedOptions());
   for (const auto& batch : batches) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batch).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
   }
   index.DeleteDocument(3);
@@ -176,7 +191,7 @@ TEST_F(CheckpointTest, RoundTripCoversAllStateAndReplaysNothing) {
   EXPECT_EQ(log->base_epoch(), 6u);
   EXPECT_EQ(log->next_id(), 6u);
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -189,18 +204,18 @@ TEST_F(CheckpointTest, RoundTripCoversAllStateAndReplaysNothing) {
 TEST_F(CheckpointTest, RecoverReplaysOnlyTheTail) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(6, 23);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex index(ShardedOptions());
+  ShardedIndex reference(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();
   for (int b = 0; b < 6; ++b) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batches[b]).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batches[b]).ok());
     if (b == 3) {
       ASSERT_TRUE(checkpointer.Checkpoint(index, log.get()).ok());
     }
   }
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -211,7 +226,7 @@ TEST_F(CheckpointTest, RecoverReplaysOnlyTheTail) {
 }
 
 TEST_F(CheckpointTest, DocumentPathSurvivesWithVocabulary) {
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   index.AddDocument("the quick brown fox");
   index.AddDocument("the lazy dog sleeps");
   index.AddDocument("quick dog quick fox");
@@ -221,7 +236,7 @@ TEST_F(CheckpointTest, DocumentPathSurvivesWithVocabulary) {
   Checkpointer checkpointer = MakeCheckpointer();
   ASSERT_TRUE(checkpointer.Checkpoint(index, nullptr).ok());
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, nullptr);
   ASSERT_TRUE(rec.ok()) << rec.status();
 
@@ -234,16 +249,17 @@ TEST_F(CheckpointTest, DocumentPathSurvivesWithVocabulary) {
   ASSERT_TRUE(the_docs.ok());
   EXPECT_EQ(*the_docs, (std::vector<DocId>{0}));
   EXPECT_EQ(recovered.next_doc_id(), 3u);
-  EXPECT_EQ(recovered.deleted_docs(), (std::vector<DocId>{1}));
+  EXPECT_EQ(recovered.deleted_count(), 1u);
+  EXPECT_TRUE(recovered.IsDeleted(1));
 }
 
 TEST_F(CheckpointTest, CompactionTotalsSurviveRecovery) {
-  IndexOptions options = SmallOptions();
-  options.policy = Policy::NewZ(AllocStrategy::kProportional, 2);
+  ShardedIndexOptions options = ShardedOptions();
+  options.shard.policy = Policy::NewZ(AllocStrategy::kProportional, 2);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(options);
+  ShardedIndex index(options);
   for (const auto& batch : MakeBatches(8, 31)) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batch).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
   }
   Result<CompactionStats> round = index.CompactOnce();
   ASSERT_TRUE(round.ok()) << round.status();
@@ -252,7 +268,7 @@ TEST_F(CheckpointTest, CompactionTotalsSurviveRecovery) {
   Checkpointer checkpointer = MakeCheckpointer();
   ASSERT_TRUE(checkpointer.Checkpoint(index, log.get()).ok());
 
-  InvertedIndex recovered(options);
+  ShardedIndex recovered(options);
   std::unique_ptr<BatchLog> reopened = OpenLog();
   ASSERT_TRUE(checkpointer.Recover(&recovered, reopened.get()).ok());
   EXPECT_EQ(recovered.compaction_totals().lists_examined,
@@ -263,7 +279,7 @@ TEST_F(CheckpointTest, CompactionTotalsSurviveRecovery) {
 
 TEST_F(CheckpointTest, UnappliedBatchBlocksCheckpoint) {
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   text::InvertedBatch batch;
   batch.entries.push_back({WordId{1}, {DocId{0}}});
   ASSERT_TRUE(log->AppendBatch(batch).ok());  // durable but never applied
@@ -275,7 +291,7 @@ TEST_F(CheckpointTest, UnappliedBatchBlocksCheckpoint) {
 
 TEST_F(CheckpointTest, NoCheckpointEmptyLogIsEmpty) {
   Checkpointer checkpointer = MakeCheckpointer();
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> log = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, log.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -285,15 +301,15 @@ TEST_F(CheckpointTest, NoCheckpointEmptyLogIsEmpty) {
 TEST_F(CheckpointTest, NoCheckpointFullHistoryRebuilds) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(4, 41);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex index(ShardedOptions());
+  ShardedIndex reference(ShardedOptions());
   for (const auto& batch : batches) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batch).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
   }
 
   Checkpointer checkpointer = MakeCheckpointer();
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -305,14 +321,14 @@ TEST_F(CheckpointTest, NoCheckpointFullHistoryRebuilds) {
 TEST_F(CheckpointTest, DamagedNewestImageFallsBackToPreviousInstall) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(6, 47);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex index(ShardedOptions());
+  ShardedIndex reference(ShardedOptions());
   // Keep full history in the WAL so the older checkpoint's longer tail is
   // still replayable after the newest image rots.
   Checkpointer checkpointer = MakeCheckpointer(/*truncate_wal=*/false);
   std::string newest_path;
   for (int b = 0; b < 6; ++b) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batches[b]).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batches[b]).ok());
     if (b == 2 || b == 4) {
       Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
@@ -320,9 +336,9 @@ TEST_F(CheckpointTest, DamagedNewestImageFallsBackToPreviousInstall) {
       newest_path = info->payload_path;
     }
   }
-  CorruptFile(newest_path);
+  CorruptFile(newest_path + "-shard0");
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -336,22 +352,22 @@ TEST_F(CheckpointTest, DamagedNewestImageFallsBackToPreviousInstall) {
 TEST_F(CheckpointTest, AllImagesDamagedFullHistoryRebuilds) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(4, 53);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex index(ShardedOptions());
+  ShardedIndex reference(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer(/*truncate_wal=*/false);
-  std::vector<std::string> images;
+  std::vector<std::string> manifests;
   for (int b = 0; b < 4; ++b) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batches[b]).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batches[b]).ok());
     if (b == 1 || b == 2) {
       Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
       ASSERT_TRUE(info.ok());
-      images.push_back(info->payload_path);
+      manifests.push_back(info->payload_path);
     }
   }
-  for (const std::string& image : images) CorruptFile(image);
+  for (const std::string& manifest : manifests) CorruptFile(manifest);
 
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -363,22 +379,22 @@ TEST_F(CheckpointTest, AllImagesDamagedFullHistoryRebuilds) {
 TEST_F(CheckpointTest, DamagedImagePlusTruncatedWalIsTypedCorruption) {
   const std::vector<text::InvertedBatch> batches = MakeBatches(4, 59);
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();  // truncates the WAL
   std::string image;
   for (int b = 0; b < 4; ++b) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batches[b]).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     if (b == 2) {
       Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
       ASSERT_TRUE(info.ok());
       image = info->payload_path;
     }
   }
-  CorruptFile(image);
+  CorruptFile(image + "-shard2");
 
   // The only checkpoint is damaged AND the WAL prefix it covered is gone:
   // recovery must fail typed, never hand back a partial index.
-  InvertedIndex recovered(SmallOptions());
+  ShardedIndex recovered(ShardedOptions());
   std::unique_ptr<BatchLog> reopened = OpenLog();
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
   EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
@@ -388,62 +404,58 @@ TEST_F(CheckpointTest, DamagedImagePlusTruncatedWalIsTypedCorruption) {
 // from must fail typed: the install proves the index held documents, so
 // an empty index would silently lose all of them.
 TEST_F(CheckpointTest, DamagedImageWithoutWalHistoryIsTypedCorruption) {
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   ASSERT_TRUE(index.ApplyInvertedBatch(MakeBatches(1, 73).front()).ok());
   Checkpointer checkpointer = MakeCheckpointer();
   Result<CheckpointInfo> info = checkpointer.Checkpoint(index, nullptr);
   ASSERT_TRUE(info.ok()) << info.status();
-  CorruptFile(info->payload_path);
+  CorruptFile(info->payload_path + "-shard1");
 
-  InvertedIndex without_log(SmallOptions());
+  ShardedIndex without_log(ShardedOptions());
   Result<RecoveryInfo> rec = checkpointer.Recover(&without_log, nullptr);
   EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
 
-  InvertedIndex with_empty_log(SmallOptions());
+  ShardedIndex with_empty_log(ShardedOptions());
   std::unique_ptr<BatchLog> log = OpenLog();
   rec = checkpointer.Recover(&with_empty_log, log.get());
   EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
 }
 
 TEST_F(CheckpointTest, GeometryMismatchIsFailedPrecondition) {
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();
   ASSERT_TRUE(checkpointer.Checkpoint(index, nullptr).ok());
 
-  IndexOptions other = SmallOptions();
-  other.buckets.num_buckets = 32;  // different geometry
-  InvertedIndex recovered(other);
+  ShardedIndexOptions other = ShardedOptions();
+  other.shard.buckets.num_buckets = 32;  // different geometry
+  ShardedIndex recovered(other);
   Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, nullptr);
   EXPECT_TRUE(rec.status().IsFailedPrecondition()) << rec.status();
 }
 
 TEST_F(CheckpointTest, StaleCheckpointFilesAreRemoved) {
   std::unique_ptr<BatchLog> log = OpenLog();
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();
-  std::vector<std::string> images;
+  std::vector<std::string> manifests;
   const std::vector<text::InvertedBatch> batches = MakeBatches(4, 61);
   for (int round = 0; round < 4; ++round) {
-    ASSERT_TRUE(log->ApplyLogged(&index, batches[round]).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[round], {}).ok());
     Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
     ASSERT_TRUE(info.ok());
-    images.push_back(info->payload_path);
+    manifests.push_back(info->payload_path);
   }
   // Both superblock slots stay referenced (fallback), everything older is
-  // garbage-collected.
-  EXPECT_FALSE(fs::exists(images[0]));
-  EXPECT_FALSE(fs::exists(images[1]));
-  EXPECT_TRUE(fs::exists(images[2]));
-  EXPECT_TRUE(fs::exists(images[3]));
-}
-
-// --- Sharded index ---------------------------------------------------------
-
-ShardedIndexOptions ShardedOptions(uint32_t shards = 3) {
-  ShardedIndexOptions options;
-  options.shard = SmallOptions();
-  options.num_shards = shards;
-  return options;
+  // garbage-collected, shard images with their manifest.
+  for (int round = 0; round < 4; ++round) {
+    const bool kept = round >= 2;
+    EXPECT_EQ(fs::exists(manifests[round]), kept) << round;
+    for (uint32_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(fs::exists(manifests[round] + "-shard" + std::to_string(k)),
+                kept)
+          << round << " shard " << k;
+    }
+  }
 }
 
 TEST_F(CheckpointTest, ShardedRoundTripThroughManifest) {
@@ -453,10 +465,7 @@ TEST_F(CheckpointTest, ShardedRoundTripThroughManifest) {
   ShardedIndex reference(ShardedOptions());
   Checkpointer checkpointer = MakeCheckpointer();
   for (int b = 0; b < 6; ++b) {
-    Result<uint64_t> id = log->AppendBatch(batches[b]);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(index.ApplyInvertedBatch(batches[b]).ok());
-    ASSERT_TRUE(log->MarkApplied(*id).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batches[b]).ok());
     if (b == 3) {
       Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
@@ -480,7 +489,9 @@ TEST_F(CheckpointTest, ShardedRoundTripThroughManifest) {
     const Result<std::vector<DocId>> expect = reference.GetPostings(w);
     const Result<std::vector<DocId>> got = recovered.GetPostings(w);
     ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-    if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
+    if (expect.ok()) {
+      EXPECT_EQ(*expect, *got) << "word " << w;
+    }
   }
 }
 
@@ -525,10 +536,7 @@ TEST_F(CheckpointTest, ShardedDamagedShardImageFallsBackToFullRebuild) {
   Checkpointer checkpointer = MakeCheckpointer(/*truncate_wal=*/false);
   std::string manifest;
   for (int b = 0; b < 4; ++b) {
-    Result<uint64_t> id = log->AppendBatch(batches[b]);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(index.ApplyInvertedBatch(batches[b]).ok());
-    ASSERT_TRUE(log->MarkApplied(*id).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batches[b], {}).ok());
     ASSERT_TRUE(reference.ApplyInvertedBatch(batches[b]).ok());
     if (b == 2) {
       Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
@@ -547,18 +555,42 @@ TEST_F(CheckpointTest, ShardedDamagedShardImageFallsBackToFullRebuild) {
     const Result<std::vector<DocId>> expect = reference.GetPostings(w);
     const Result<std::vector<DocId>> got = recovered.GetPostings(w);
     ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-    if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
+    if (expect.ok()) {
+      EXPECT_EQ(*expect, *got) << "word " << w;
+    }
   }
 }
 
-// An unsharded image under the superblock is an intact install that the
-// sharded overload rejects (the payload is not a manifest). With no WAL
-// history that is typed Corruption, never an empty index served as OK.
+// An intact install whose payload is not a manifest (here: a shard image,
+// checksummed and installed like one) is rejected. With no WAL history
+// that is typed Corruption, never an empty index served as OK.
 TEST_F(CheckpointTest, ShardedRejectedInstallWithoutWalIsTypedCorruption) {
-  InvertedIndex unsharded(SmallOptions());
-  ASSERT_TRUE(unsharded.ApplyInvertedBatch(MakeBatches(1, 79).front()).ok());
+  ShardedIndex index(ShardedOptions());
+  ASSERT_TRUE(index.ApplyInvertedBatch(MakeBatches(1, 79).front()).ok());
+  CheckpointOptions other;
+  other.prefix = dir_ + "/other";
+  Result<CheckpointInfo> info = Checkpointer(other).Checkpoint(index, nullptr);
+  ASSERT_TRUE(info.ok()) << info.status();
+  std::string image;
+  {
+    std::ifstream in(info->payload_path + "-shard0", std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(image.empty());
+  {
+    std::ofstream out(prefix_ + ".ckpt-1", std::ios::binary);
+    out << image;
+  }
+  Result<std::unique_ptr<storage::Superblock>> sb =
+      storage::Superblock::Open(prefix_ + ".super");
+  ASSERT_TRUE(sb.ok()) << sb.status();
+  storage::SuperblockRecord record;
+  record.payload_bytes = image.size();
+  record.payload_checksum = Fnv1a64(image.data(), image.size());
+  record.payload_path = "idx.ckpt-1";
+  ASSERT_TRUE((*sb)->Install(record).ok());
   Checkpointer checkpointer = MakeCheckpointer();
-  ASSERT_TRUE(checkpointer.Checkpoint(unsharded, nullptr).ok());
 
   ShardedIndex without_log(ShardedOptions());
   Result<RecoveryInfo> rec = checkpointer.Recover(&without_log, nullptr);
@@ -592,10 +624,7 @@ TEST_F(CheckpointTest, CheckpointStressWithConcurrentReaders) {
   }
 
   for (const auto& batch : batches) {
-    Result<uint64_t> id = log->AppendBatch(batch);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(index.ApplyInvertedBatch(batch).ok());
-    ASSERT_TRUE(log->MarkApplied(*id).ok());
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
     Result<CheckpointInfo> info = checkpointer.Checkpoint(index, log.get());
     ASSERT_TRUE(info.ok()) << info.status();
   }
@@ -610,7 +639,9 @@ TEST_F(CheckpointTest, CheckpointStressWithConcurrentReaders) {
     const Result<std::vector<DocId>> expect = index.GetPostings(w);
     const Result<std::vector<DocId>> got = recovered.GetPostings(w);
     ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-    if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
+    if (expect.ok()) {
+      EXPECT_EQ(*expect, *got) << "word " << w;
+    }
   }
 }
 

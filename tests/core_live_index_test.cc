@@ -251,18 +251,7 @@ TEST_F(LiveIndexTest, AckedDocumentsSurviveRestartViaWalReplay) {
   ShardedIndex recovered(options);
   Result<std::unique_ptr<BatchLog>> wal = BatchLog::Open(wal_path_);
   ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)
-                  ->ForEachBatch(0,
-                                 [&](const BatchLog::LoggedBatch& batch) {
-                                   EXPECT_TRUE(recovered
-                                                   .RestoreBatchWords(
-                                                       batch.docs,
-                                                       batch.words)
-                                                   .ok());
-                                   return recovered.ApplyInvertedBatch(
-                                       batch.docs);
-                                 })
-                  .ok());
+  ASSERT_TRUE(recovered.ReplayLogged(wal->get(), 0).ok());
   Result<std::vector<DocId>> postings = recovered.GetPostings(fox_word);
   ASSERT_TRUE(postings.ok()) << postings.status();
   EXPECT_EQ(*postings, expect_fox);

@@ -115,17 +115,12 @@ TEST(ShardedRecoveryTest, CrashOnOneShardIsIsolatedAndRecoverable) {
     ASSERT_TRUE(log.ok());
     (*log)->set_fsync(false);
 
-    // Manual WAL protocol around the sharded apply (BatchLog::ApplyLogged
-    // drives a single InvertedIndex).
     for (size_t b = 0; b < batches.size(); ++b) {
-      Result<uint64_t> id = (*log)->AppendBatch(batches[b]);
-      ASSERT_TRUE(id.ok());
-      const Status applied = index.ApplyInvertedBatch(batches[b]);
+      const Status applied =
+          index.ApplyLogged(log->get(), batches[b], {}).status();
       if (b + 1 < batches.size()) {
         ASSERT_TRUE(applied.ok())
             << "crash point " << k << " fired before the final batch";
-        ASSERT_TRUE(index.FlushCaches().ok());
-        ASSERT_TRUE((*log)->MarkApplied(*id).ok());
         continue;
       }
       ASSERT_FALSE(applied.ok()) << "crash at op " << k << " did not fire";
@@ -168,13 +163,9 @@ TEST(ShardedRecoveryTest, CrashOnOneShardIsIsolatedAndRecoverable) {
     ASSERT_TRUE(replay.ok());
     ASSERT_EQ((*replay)->batches_logged(), batches.size());
     EXPECT_EQ((*replay)->UnappliedBatches().size(), 1u) << "crash " << k;
-    ASSERT_TRUE(
-        (*replay)
-            ->ForEachBatch(0,
-                           [&](const core::BatchLog::LoggedBatch& batch) {
-                             return recovered.ApplyInvertedBatch(batch.docs);
-                           })
-            .ok());
+    ASSERT_TRUE(recovered.ReplayLogged(replay->get(), 0).ok())
+        << "crash " << k;
+    EXPECT_EQ((*replay)->UnappliedBatches().size(), 0u) << "crash " << k;
     ASSERT_TRUE(recovered.VerifyIntegrity().ok()) << "crash " << k;
     for (WordId w = 0; w < kWords; ++w) {
       const Result<std::vector<DocId>> expect = reference.GetPostings(w);

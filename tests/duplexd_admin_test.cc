@@ -370,5 +370,58 @@ TEST_F(DuplexdAdminTest, OtherShardCountCheckpointIsRefused) {
       << ctl_out_;
 }
 
+// A WAL some checkpoint truncated holds only the batches past that
+// checkpoint. Restarting on it without --checkpoint must fail typed and
+// leave the WAL as it was, not serve an index missing every acked
+// document (and hand their doc ids out again); the checkpoint + WAL pair
+// still recovers them afterwards.
+TEST_F(DuplexdAdminTest, TruncatedWalWithoutCheckpointIsRefused) {
+  const std::string prefix = dir_ + "/served";
+  const std::string wal = prefix + ".wal";
+  {
+    DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--wal", wal,
+                       "--checkpoint", prefix});
+    ASSERT_TRUE(daemon.alive());
+    const uint16_t port = daemon.ReadPortLine("duplexd listening on port ");
+    ASSERT_NE(port, 0);
+    ASSERT_EQ(Ctl("net-submit 127.0.0.1 " + std::to_string(port) + " " +
+                  dir_ + "/docs/a.txt " + dir_ + "/docs/b.txt"),
+              0)
+        << ctl_out_;
+    // The shutdown checkpoint truncates the WAL to its epoch record.
+    daemon.Terminate();
+    ASSERT_EQ(daemon.WaitExit(), 0);
+  }
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string truncated = file_bytes(wal);
+  ASSERT_FALSE(truncated.empty());
+
+  {
+    DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--wal", wal});
+    ASSERT_TRUE(daemon.alive());
+    EXPECT_EQ(daemon.ReadPortLine("duplexd listening on port "), 0)
+        << "served a WAL whose history lives only in a checkpoint";
+    EXPECT_EQ(daemon.WaitExit(), 1);
+  }
+  EXPECT_EQ(file_bytes(wal), truncated);
+
+  DaemonProc daemon({DUPLEXD_BIN, "--port", "0", "--wal", wal,
+                     "--checkpoint", prefix});
+  ASSERT_TRUE(daemon.alive());
+  const uint16_t port = daemon.ReadPortLine("duplexd listening on port ");
+  ASSERT_NE(port, 0);
+  ASSERT_EQ(Ctl("net-query 127.0.0.1 " + std::to_string(port) + " lists"), 0)
+      << ctl_out_;
+  EXPECT_NE(ctl_out_.find("2 matching documents"), std::string::npos)
+      << ctl_out_;
+  EXPECT_NE(ctl_out_.find("): 0 1\n"), std::string::npos) << ctl_out_;
+  daemon.Terminate();
+  EXPECT_EQ(daemon.WaitExit(), 0);
+}
+
 }  // namespace
 }  // namespace duplex

@@ -17,6 +17,7 @@
 #include "core/batch_log.h"
 #include "core/inverted_index.h"
 #include "core/checkpoint.h"
+#include "core/sharded_index.h"
 #include "ir/query_eval.h"
 #include "sim/pipeline.h"
 #include "storage/buffer_pool.h"
@@ -203,7 +204,8 @@ class CacheCrashRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { Cleanup(); }
   void Cleanup() {
-    for (const char* suffix : {".super", ".ckpt-1", ".wal"}) {
+    for (const char* suffix : {".super", ".ckpt-1", ".ckpt-1-shard0",
+                               ".ckpt-1-shard1", ".wal"}) {
       std::remove((prefix_ + suffix).c_str());
     }
   }
@@ -222,7 +224,10 @@ TEST_F(CacheCrashRecoveryTest, WriteBackRecoversToUncachedState) {
   const std::vector<text::InvertedBatch> batches =
       DeterministicBatches(5, kWords, 30);
   const auto cached_options = [] {
-    return MaterializedOptions(64, storage::CacheMode::kWriteBack);
+    core::ShardedIndexOptions options;
+    options.shard = MaterializedOptions(64, storage::CacheMode::kWriteBack);
+    options.num_shards = 2;
+    return options;
   };
 
   // Reference: no cache, every batch applied directly.
@@ -238,31 +243,39 @@ TEST_F(CacheCrashRecoveryTest, WriteBackRecoversToUncachedState) {
   // applying it (the index object, its devices, and every dirty frame in
   // the pool are simply dropped).
   {
-    core::InvertedIndex index(cached_options());
+    core::ShardedIndex index(cached_options());
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(prefix_ + ".wal");
     ASSERT_TRUE(log.ok());
     (*log)->set_fsync(false);  // keep the test off the disk's fsync path
     for (size_t b = 0; b + 1 < batches.size(); ++b) {
-      ASSERT_TRUE((*log)->ApplyLogged(&index, batches[b]).ok());
+      ASSERT_TRUE(index.ApplyLogged(log->get(), batches[b], {}).ok());
     }
     // ApplyLogged flushed dirty frames before each commit record.
-    EXPECT_GT(index.cache_stats().dirty_writebacks, 0u);
+    uint64_t writebacks = 0;
+    for (uint32_t k = 0; k < index.num_shards(); ++k) {
+      writebacks += index.shard(k).WithRead([](const core::InvertedIndex& s) {
+        return s.cache_stats().dirty_writebacks;
+      });
+    }
+    EXPECT_GT(writebacks, 0u);
     ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log->get()).ok());
     ASSERT_TRUE((*log)->AppendBatch(batches.back()).ok());
   }
 
   // Recovery: restore the checkpoint into a fresh write-back index and
-  // replay the unapplied tail (RecoverInto flushes caches before every
+  // replay the unapplied tail (ReplayLogged flushes caches before every
   // commit record, same as ApplyLogged).
-  core::InvertedIndex recovered(cached_options());
-  ASSERT_TRUE(MakeCheckpointer().Recover(&recovered, /*log=*/nullptr).ok());
+  core::ShardedIndex recovered(cached_options());
   Result<std::unique_ptr<core::BatchLog>> log =
       core::BatchLog::Open(prefix_ + ".wal");
   ASSERT_TRUE(log.ok());
   (*log)->set_fsync(false);
   ASSERT_EQ((*log)->UnappliedBatches().size(), 1u);
-  ASSERT_TRUE((*log)->RecoverInto(&recovered).ok());
+  Result<core::RecoveryInfo> rec =
+      MakeCheckpointer().Recover(&recovered, log->get());
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(rec->batches_replayed, 1u);
   EXPECT_EQ((*log)->UnappliedBatches().size(), 0u);
 
   ASSERT_TRUE(recovered.VerifyIntegrity().ok());

@@ -1,6 +1,7 @@
 // Crash-provable checkpointing: arm one FaultSchedule over EVERY physical
-// op of the checkpoint protocol (image chunk writes + sync, superblock
-// slot halves + sync, WAL tail rewrite + sync + rename), crash at each op
+// op of the checkpoint protocol (shard image and manifest chunk writes +
+// syncs, superblock slot halves + sync, WAL tail rewrite + sync +
+// rename), crash at each op
 // in turn, then recover from disk alone and prove the index equals an
 // uncrashed reference list-for-list. A second sweep flips one bit instead
 // of crashing: recovery must come back equal or fail typed — garbage is
@@ -14,7 +15,6 @@
 
 #include "core/batch_log.h"
 #include "core/checkpoint.h"
-#include "core/inverted_index.h"
 #include "core/sharded_index.h"
 #include "storage/fault_injection.h"
 #include "text/batch.h"
@@ -29,7 +29,7 @@ constexpr int kWords = 40;
 constexpr int kPreBatches = 4;   // applied before the crashed checkpoint
 constexpr int kPostBatches = 2;  // applied after recovery
 
-IndexOptions SmallOptions() {
+ShardedIndexOptions SmallOptions(uint32_t shards) {
   IndexOptions options;
   options.buckets.num_buckets = 16;
   options.buckets.bucket_capacity = 64;
@@ -40,7 +40,10 @@ IndexOptions SmallOptions() {
   options.disks.block_size_bytes = 128;
   options.disks.checksums = true;
   options.materialize = true;
-  return options;
+  ShardedIndexOptions sharded;
+  sharded.shard = options;
+  sharded.num_shards = shards;
+  return sharded;
 }
 
 std::vector<text::InvertedBatch> MakeBatches(int count) {
@@ -69,15 +72,15 @@ std::vector<text::InvertedBatch> MakeBatches(int count) {
 }
 
 // The uncrashed reference: all pre- and post-batches applied in order.
-void BuildReference(InvertedIndex* reference,
+void BuildReference(ShardedIndex* reference,
                     const std::vector<text::InvertedBatch>& batches) {
   for (const auto& batch : batches) {
     ASSERT_TRUE(reference->ApplyInvertedBatch(batch).ok());
   }
 }
 
-void ExpectSamePostings(const InvertedIndex& recovered,
-                        const InvertedIndex& reference,
+void ExpectSamePostings(const ShardedIndex& recovered,
+                        const ShardedIndex& reference,
                         const std::string& context) {
   for (WordId w = 0; w < kWords; ++w) {
     const Result<std::vector<DocId>> expect = reference.GetPostings(w);
@@ -112,19 +115,23 @@ class CheckpointCrashSweepTest : public ::testing::Test {
     return run;
   }
 
+  // Crashes the checkpoint of a `shards`-shard index at every op in turn.
+  void CrashAtEveryOp(uint32_t shards);
+
   std::string dir_;
 };
 
 // Counts the physical ops of one whole checkpoint (a no-fault schedule
 // still numbers every op), so the sweeps know their upper bound.
 uint64_t CountCheckpointOps(const std::string& run,
-                            const std::vector<text::InvertedBatch>& pre) {
+                            const std::vector<text::InvertedBatch>& pre,
+                            uint32_t shards) {
   Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(run + "/idx.wal");
   EXPECT_TRUE(log.ok());
   (*log)->set_fsync(false);
-  InvertedIndex index(SmallOptions());
+  ShardedIndex index(SmallOptions(shards));
   for (const auto& batch : pre) {
-    EXPECT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+    EXPECT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
   }
   CheckpointOptions options;
   options.prefix = run + "/idx";
@@ -136,16 +143,20 @@ uint64_t CountCheckpointOps(const std::string& run,
   return options.fault->ops_issued();
 }
 
-TEST_F(CheckpointCrashSweepTest, CrashAtEveryOpRecoversExactly) {
+// Crashes the checkpoint protocol at every op in turn, recovers from disk
+// alone, applies the post-checkpoint batches, and diffs against the
+// uncrashed reference.
+void CheckpointCrashSweepTest::CrashAtEveryOp(uint32_t shards) {
   const std::vector<text::InvertedBatch> all =
       MakeBatches(kPreBatches + kPostBatches);
   const std::vector<text::InvertedBatch> pre(all.begin(),
                                              all.begin() + kPreBatches);
 
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex reference(SmallOptions(shards));
   BuildReference(&reference, all);
-  const uint64_t total_ops = CountCheckpointOps(FreshRun("count"), pre);
-  ASSERT_GT(total_ops, 5u);  // image + superblock + WAL rewrite all counted
+  const uint64_t total_ops = CountCheckpointOps(FreshRun("count"), pre, shards);
+  // Shard images, manifest, superblock and WAL rewrite are all counted.
+  ASSERT_GT(total_ops, 5u);
 
   for (uint64_t crash_at = 1; crash_at <= total_ops; ++crash_at) {
     SCOPED_TRACE("crash_at_op=" + std::to_string(crash_at));
@@ -156,9 +167,9 @@ TEST_F(CheckpointCrashSweepTest, CrashAtEveryOpRecoversExactly) {
       Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(wal_path);
       ASSERT_TRUE(log.ok());
       (*log)->set_fsync(false);
-      InvertedIndex index(SmallOptions());
+      ShardedIndex index(SmallOptions(shards));
       for (const auto& batch : pre) {
-        ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+        ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
       }
       storage::FaultScheduleOptions fo;
       fo.crash_at_op = crash_at;
@@ -175,7 +186,7 @@ TEST_F(CheckpointCrashSweepTest, CrashAtEveryOpRecoversExactly) {
     Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(wal_path);
     ASSERT_TRUE(log.ok()) << log.status();
     (*log)->set_fsync(false);
-    InvertedIndex recovered(SmallOptions());
+    ShardedIndex recovered(SmallOptions(shards));
     CheckpointOptions options;
     options.prefix = run + "/idx";
     Checkpointer checkpointer(options);
@@ -184,11 +195,16 @@ TEST_F(CheckpointCrashSweepTest, CrashAtEveryOpRecoversExactly) {
     // Whichever side of the flip the crash landed on, the recovered index
     // must continue taking batches and end up identical to the reference.
     for (int b = kPreBatches; b < kPreBatches + kPostBatches; ++b) {
-      ASSERT_TRUE((*log)->ApplyLogged(&recovered, all[b]).ok());
+      ASSERT_TRUE(recovered.ApplyLogged(log->get(), all[b], {}).ok());
     }
     ExpectSamePostings(recovered, reference,
                        "crash_at=" + std::to_string(crash_at));
   }
+}
+
+// One shard: the degenerate case of the manifest layout.
+TEST_F(CheckpointCrashSweepTest, CrashAtEveryOpRecoversExactly) {
+  CrashAtEveryOp(1);
 }
 
 TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
@@ -197,11 +213,9 @@ TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
   const std::vector<text::InvertedBatch> pre(all.begin(),
                                              all.begin() + kPreBatches);
 
-  InvertedIndex reference(SmallOptions());
+  ShardedIndex reference(SmallOptions(3));
   BuildReference(&reference, all);
-  InvertedIndex pre_reference(SmallOptions());
-  BuildReference(&pre_reference, pre);
-  const uint64_t total_ops = CountCheckpointOps(FreshRun("count"), pre);
+  const uint64_t total_ops = CountCheckpointOps(FreshRun("count"), pre, 3);
 
   uint64_t typed_failures = 0;
   for (uint64_t flip_at = 1; flip_at <= total_ops; ++flip_at) {
@@ -213,9 +227,9 @@ TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
       Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(wal_path);
       ASSERT_TRUE(log.ok());
       (*log)->set_fsync(false);
-      InvertedIndex index(SmallOptions());
+      ShardedIndex index(SmallOptions(3));
       for (const auto& batch : pre) {
-        ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+        ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
       }
       storage::FaultScheduleOptions fo;
       fo.bit_flip_ops = {flip_at};
@@ -237,7 +251,7 @@ TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
       continue;
     }
     (*log)->set_fsync(false);
-    InvertedIndex recovered(SmallOptions());
+    ShardedIndex recovered(SmallOptions(3));
     CheckpointOptions options;
     options.prefix = run + "/idx";
     Checkpointer checkpointer(options);
@@ -251,7 +265,7 @@ TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
       continue;
     }
     for (int b = kPreBatches; b < kPreBatches + kPostBatches; ++b) {
-      ASSERT_TRUE((*log)->ApplyLogged(&recovered, all[b]).ok());
+      ASSERT_TRUE(recovered.ApplyLogged(log->get(), all[b], {}).ok());
     }
     ExpectSamePostings(recovered, reference,
                        "flip_at=" + std::to_string(flip_at));
@@ -262,91 +276,10 @@ TEST_F(CheckpointCrashSweepTest, BitFlipAtEveryOpNeverYieldsGarbage) {
   EXPECT_LT(typed_failures, total_ops);
 }
 
-// Sharded protocol sweep (coarser: every 3rd op) — per-shard images and
-// the manifest flip as one unit through the same superblock.
+// Three shard images and the manifest flip as one unit through the same
+// superblock.
 TEST_F(CheckpointCrashSweepTest, ShardedCrashSweepRecoversExactly) {
-  ShardedIndexOptions sharded;
-  sharded.shard = SmallOptions();
-  sharded.num_shards = 3;
-
-  const std::vector<text::InvertedBatch> all =
-      MakeBatches(kPreBatches + kPostBatches);
-  const std::vector<text::InvertedBatch> pre(all.begin(),
-                                             all.begin() + kPreBatches);
-  ShardedIndex reference(sharded);
-  for (const auto& batch : all) {
-    ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
-  }
-
-  // Counting run.
-  uint64_t total_ops = 0;
-  {
-    const std::string run = FreshRun("count");
-    Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(run + "/idx.wal");
-    ASSERT_TRUE(log.ok());
-    (*log)->set_fsync(false);
-    ShardedIndex index(sharded);
-    for (const auto& batch : pre) {
-      Result<uint64_t> id = (*log)->AppendBatch(batch);
-      ASSERT_TRUE(id.ok());
-      ASSERT_TRUE(index.ApplyInvertedBatch(batch).ok());
-      ASSERT_TRUE((*log)->MarkApplied(*id).ok());
-    }
-    CheckpointOptions options;
-    options.prefix = run + "/idx";
-    options.fault = std::make_shared<storage::FaultSchedule>(
-        storage::FaultScheduleOptions{});
-    Checkpointer checkpointer(options);
-    ASSERT_TRUE(checkpointer.Checkpoint(index, log->get()).ok());
-    total_ops = options.fault->ops_issued();
-  }
-
-  for (uint64_t crash_at = 1; crash_at <= total_ops; crash_at += 3) {
-    SCOPED_TRACE("crash_at_op=" + std::to_string(crash_at));
-    const std::string run = FreshRun("crash" + std::to_string(crash_at));
-    const std::string wal_path = run + "/idx.wal";
-    {
-      Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(wal_path);
-      ASSERT_TRUE(log.ok());
-      (*log)->set_fsync(false);
-      ShardedIndex index(sharded);
-      for (const auto& batch : pre) {
-        Result<uint64_t> id = (*log)->AppendBatch(batch);
-        ASSERT_TRUE(id.ok());
-        ASSERT_TRUE(index.ApplyInvertedBatch(batch).ok());
-        ASSERT_TRUE((*log)->MarkApplied(*id).ok());
-      }
-      storage::FaultScheduleOptions fo;
-      fo.crash_at_op = crash_at;
-      CheckpointOptions options;
-      options.prefix = run + "/idx";
-      options.fault = std::make_shared<storage::FaultSchedule>(fo);
-      Checkpointer checkpointer(options);
-      ASSERT_FALSE(checkpointer.Checkpoint(index, log->get()).ok());
-    }
-
-    Result<std::unique_ptr<BatchLog>> log = BatchLog::Open(wal_path);
-    ASSERT_TRUE(log.ok()) << log.status();
-    (*log)->set_fsync(false);
-    ShardedIndex recovered(sharded);
-    CheckpointOptions options;
-    options.prefix = run + "/idx";
-    Checkpointer checkpointer(options);
-    Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, log->get());
-    ASSERT_TRUE(rec.ok()) << rec.status();
-    for (int b = kPreBatches; b < kPreBatches + kPostBatches; ++b) {
-      Result<uint64_t> id = (*log)->AppendBatch(all[b]);
-      ASSERT_TRUE(id.ok());
-      ASSERT_TRUE(recovered.ApplyInvertedBatch(all[b]).ok());
-      ASSERT_TRUE((*log)->MarkApplied(*id).ok());
-    }
-    for (WordId w = 0; w < kWords; ++w) {
-      const Result<std::vector<DocId>> expect = reference.GetPostings(w);
-      const Result<std::vector<DocId>> got = recovered.GetPostings(w);
-      ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-      if (expect.ok()) ASSERT_EQ(*expect, *got) << "word " << w;
-    }
-  }
+  CrashAtEveryOp(3);
 }
 
 }  // namespace

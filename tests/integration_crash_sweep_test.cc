@@ -1,19 +1,24 @@
 // The durability acceptance bar for the fault-injection subsystem: crash
-// the device at EVERY physical I/O boundary of a batch apply, recover, and
-// demand the recovered index be bit-equivalent to the uncrashed reference.
+// the devices at EVERY physical I/O boundary of a batch apply, recover,
+// and demand the recovered index be bit-equivalent to the uncrashed
+// reference.
 //
 // Mechanics: devices here are in-memory, so "crash" means the fault layer
 // freezes all device I/O at op k (a power cut), the index object is
 // dropped (with every dirty cache frame), and recovery starts from a
-// freshly constructed index fed by BatchLog::ReplayInto — the WAL is the
-// only survivor, exactly the contract the paper's restartable-update
-// design promises. Because recovery replays the full log into an empty
-// index, the result is always the fully-applied state; the batch-not-
-// applied arm of the invariant is covered by the torn-WAL-tail tests in
-// core_batch_log_test.cc.
+// freshly constructed index fed by ShardedIndex::ReplayLogged — the WAL
+// is the only survivor, exactly the contract the paper's restartable-
+// update design promises. Because recovery replays the full log into an
+// empty index, the result is always the fully-applied state; the
+// batch-not-applied arm of the invariant is covered by the torn-WAL-tail
+// tests in core_batch_log_test.cc. One FaultSchedule numbers the ops of
+// both shards, and the shards apply one at a time (threads = 1), so op k
+// is the same physical write in every run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "core/directory.h"
 #include "core/inverted_index.h"
 #include "core/long_list_store.h"
+#include "core/sharded_index.h"
 #include "storage/fault_injection.h"
 #include "text/batch.h"
 #include "util/random.h"
@@ -32,7 +38,7 @@ constexpr int kWords = 40;
 constexpr int kBatches = 4;
 constexpr int kDocsPerBatch = 20;
 
-core::IndexOptions SweepOptions() {
+core::IndexOptions ShardOptions() {
   core::IndexOptions o;
   o.buckets.num_buckets = 32;
   o.buckets.bucket_capacity = 64;
@@ -48,6 +54,35 @@ core::IndexOptions SweepOptions() {
   o.cache.capacity_blocks = 32;
   o.cache.mode = storage::CacheMode::kWriteBack;
   return o;
+}
+
+// Two shards over ShardOptions(), applied one at a time. `schedule` (may
+// be null) is shared by every shard's disks.
+core::ShardedIndexOptions SweepOptions(
+    std::shared_ptr<storage::FaultSchedule> schedule = nullptr,
+    const core::IndexOptions& shard = ShardOptions()) {
+  core::ShardedIndexOptions o;
+  o.shard = shard;
+  o.shard.disks.fault_schedule = std::move(schedule);
+  o.num_shards = 2;
+  o.threads = 1;
+  return o;
+}
+
+uint64_t UsedBlocks(const core::ShardedIndex& index) {
+  uint64_t blocks = 0;
+  for (uint32_t k = 0; k < index.num_shards(); ++k) {
+    blocks += index.shard(k).WithRead([](const core::InvertedIndex& shard) {
+      return shard.disks().total_used_blocks();
+    });
+  }
+  return blocks;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 std::vector<text::InvertedBatch> SweepBatches() {
@@ -78,8 +113,8 @@ std::vector<text::InvertedBatch> SweepBatches() {
 // Full-state diff: stats, structure, free-space accounting, and every
 // posting list. Both indexes were built by the same logical batch
 // sequence from empty, so every layer must agree exactly.
-void ExpectBitEquivalent(const core::InvertedIndex& got,
-                         const core::InvertedIndex& want,
+void ExpectBitEquivalent(const core::ShardedIndex& got,
+                         const core::ShardedIndex& want,
                          const std::string& label) {
   ASSERT_TRUE(got.VerifyIntegrity().ok()) << label;
   const core::IndexStats gs = got.Stats();
@@ -89,13 +124,14 @@ void ExpectBitEquivalent(const core::InvertedIndex& got,
   EXPECT_EQ(gs.long_words, ws.long_words) << label;
   EXPECT_EQ(gs.long_chunks, ws.long_chunks) << label;
   EXPECT_EQ(gs.long_blocks, ws.long_blocks) << label;
-  EXPECT_EQ(got.disks().total_used_blocks(), want.disks().total_used_blocks())
-      << label;
+  EXPECT_EQ(UsedBlocks(got), UsedBlocks(want)) << label;
   for (WordId w = 0; w < kWords; ++w) {
     const Result<std::vector<DocId>> expect = want.GetPostings(w);
     const Result<std::vector<DocId>> actual = got.GetPostings(w);
     ASSERT_EQ(expect.ok(), actual.ok()) << label << " word " << w;
-    if (expect.ok()) EXPECT_EQ(*expect, *actual) << label << " word " << w;
+    if (expect.ok()) {
+      EXPECT_EQ(*expect, *actual) << label << " word " << w;
+    }
   }
 }
 
@@ -118,7 +154,7 @@ TEST_F(CrashSweepTest, EveryIoBoundaryRecoversToReference) {
   const std::vector<text::InvertedBatch> batches = SweepBatches();
 
   // Uncrashed reference.
-  core::InvertedIndex reference(SweepOptions());
+  core::ShardedIndex reference(SweepOptions());
   for (const auto& batch : batches) {
     ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
   }
@@ -128,22 +164,21 @@ TEST_F(CrashSweepTest, EveryIoBoundaryRecoversToReference) {
   uint64_t ops_before = 0;
   uint64_t ops_total = 0;
   {
-    core::IndexOptions options = SweepOptions();
-    options.disks.fault_schedule =
-        std::make_shared<storage::FaultSchedule>(storage::FaultScheduleOptions{});
-    core::InvertedIndex index(options);
+    auto schedule = std::make_shared<storage::FaultSchedule>(
+        storage::FaultScheduleOptions{});
+    core::ShardedIndex index(SweepOptions(schedule));
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(wal_path_);
     ASSERT_TRUE(log.ok());
     (*log)->set_fsync(false);
     for (size_t b = 0; b + 1 < batches.size(); ++b) {
-      ASSERT_TRUE((*log)->ApplyLogged(&index, batches[b]).ok());
+      ASSERT_TRUE(index.ApplyLogged(log->get(), batches[b], {}).ok());
     }
-    ops_before = options.disks.fault_schedule->ops_issued();
-    ASSERT_TRUE((*log)->ApplyLogged(&index, batches.back()).ok());
-    // Flush everything so the op count covers the batch's whole I/O
-    // footprint (ApplyLogged already flushed before MarkApplied).
-    ops_total = options.disks.fault_schedule->ops_issued();
+    ops_before = schedule->ops_issued();
+    ASSERT_TRUE(index.ApplyLogged(log->get(), batches.back(), {}).ok());
+    // ApplyLogged flushed every dirty frame before MarkApplied, so the op
+    // count covers the batch's whole I/O footprint.
+    ops_total = schedule->ops_issued();
     ExpectBitEquivalent(index, reference, "counting run");
   }
   const uint64_t n_ops = ops_total - ops_before;
@@ -157,18 +192,17 @@ TEST_F(CrashSweepTest, EveryIoBoundaryRecoversToReference) {
     fault.crash_at_op = ops_before + k;
     auto schedule = std::make_shared<storage::FaultSchedule>(fault);
     {
-      core::IndexOptions options = SweepOptions();
-      options.disks.fault_schedule = schedule;
-      core::InvertedIndex index(options);
+      core::ShardedIndex index(SweepOptions(schedule));
       Result<std::unique_ptr<core::BatchLog>> log =
           core::BatchLog::Open(wal_path_);
       ASSERT_TRUE(log.ok());
       (*log)->set_fsync(false);
       for (size_t b = 0; b + 1 < batches.size(); ++b) {
-        ASSERT_TRUE((*log)->ApplyLogged(&index, batches[b]).ok())
+        ASSERT_TRUE(index.ApplyLogged(log->get(), batches[b], {}).ok())
             << "crash point " << k << " fired before the final batch";
       }
-      const Status crashed = (*log)->ApplyLogged(&index, batches.back());
+      const Status crashed =
+          index.ApplyLogged(log->get(), batches.back(), {}).status();
       ASSERT_FALSE(crashed.ok()) << "crash at op " << k << " did not fire";
       ASSERT_TRUE(crashed.IsIoError()) << crashed;
       // The batch record went durable before any index I/O, so the WAL
@@ -177,37 +211,44 @@ TEST_F(CrashSweepTest, EveryIoBoundaryRecoversToReference) {
       // Power cut: index object, dirty frames, devices — all dropped.
     }
 
-    core::InvertedIndex recovered(SweepOptions());
+    core::ShardedIndex recovered(SweepOptions());
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(wal_path_);
     ASSERT_TRUE(log.ok()) << "crash " << k;
     (*log)->set_fsync(false);
     ASSERT_EQ((*log)->batches_logged(), batches.size()) << "crash " << k;
-    ASSERT_TRUE((*log)->ReplayInto(&recovered).ok()) << "crash " << k;
+    ASSERT_TRUE(recovered.ReplayLogged(log->get(), 0).ok()) << "crash " << k;
     EXPECT_EQ((*log)->UnappliedBatches().size(), 0u) << "crash " << k;
     ExpectBitEquivalent(recovered, reference,
                         "crash at op " + std::to_string(k));
   }
 }
 
-// The same bar for online compaction: crash the device at EVERY physical
-// I/O boundary of a logged compaction round (chunk reads, merged-chunk
-// write, cache write-back), recover from the WAL alone, and demand the
-// recovered index be bit-equivalent to a never-compacted reference — no
-// posting lost or duplicated, no block leaked. Compaction never changes
-// logical state, so full replay of the applied batches is always the
-// correct recovery regardless of where inside the round the power died;
-// the 'C' record is informational and must only appear once the round
-// (and its cache flush) fully completed.
+// One compaction round over every shard, then the cache flush that puts
+// its rewritten chunks on the devices.
+Status CompactAndFlush(core::ShardedIndex& index) {
+  Result<core::CompactionStats> round = index.CompactOnce();
+  if (!round.ok()) return round.status();
+  return index.FlushCaches();
+}
+
+// The same bar for online compaction: crash the devices at EVERY physical
+// I/O boundary of a compaction round (chunk reads, merged-chunk write,
+// cache write-back), recover from the WAL alone, and demand the recovered
+// index be bit-equivalent to a never-compacted reference — no posting
+// lost or duplicated, no block leaked. Compaction never changes logical
+// state and writes nothing to the WAL, so full replay of the applied
+// batches is always the correct recovery regardless of where inside the
+// round the power died.
 TEST_F(CrashSweepTest, CompactionEveryIoBoundaryRecoversToReference) {
   // New-style chunks with 2x proportional reserve fragment hard, giving
   // the compactor real multi-chunk, low-utilization lists to rewrite.
-  core::IndexOptions fragmenting = SweepOptions();
+  core::IndexOptions fragmenting = ShardOptions();
   fragmenting.policy =
       core::Policy::NewZ(core::AllocStrategy::kProportional, 2.0);
 
   const std::vector<text::InvertedBatch> batches = SweepBatches();
-  core::InvertedIndex reference(fragmenting);
+  core::ShardedIndex reference(SweepOptions(nullptr, fragmenting));
   for (const auto& batch : batches) {
     ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
   }
@@ -217,24 +258,23 @@ TEST_F(CrashSweepTest, CompactionEveryIoBoundaryRecoversToReference) {
   uint64_t ops_before = 0;
   uint64_t ops_total = 0;
   {
-    core::IndexOptions options = fragmenting;
-    options.disks.fault_schedule = std::make_shared<storage::FaultSchedule>(
+    auto schedule = std::make_shared<storage::FaultSchedule>(
         storage::FaultScheduleOptions{});
-    core::InvertedIndex index(options);
+    core::ShardedIndex index(SweepOptions(schedule, fragmenting));
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(wal_path_);
     ASSERT_TRUE(log.ok());
     (*log)->set_fsync(false);
     for (const auto& batch : batches) {
-      ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+      ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
     }
-    ops_before = options.disks.fault_schedule->ops_issued();
-    Result<core::CompactionStats> stats = (*log)->CompactLogged(&index);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    ops_total = options.disks.fault_schedule->ops_issued();
-    ASSERT_GT(stats->lists_compacted, 0u)
+    ops_before = schedule->ops_issued();
+    const std::string wal_before = FileBytes(wal_path_);
+    ASSERT_TRUE(CompactAndFlush(index).ok());
+    ops_total = schedule->ops_issued();
+    ASSERT_GT(index.compaction_totals().lists_compacted, 0u)
         << "workload produced nothing to compact";
-    EXPECT_EQ((*log)->compactions_logged(), 1u);
+    EXPECT_EQ(FileBytes(wal_path_), wal_before);
     // Compaction changed layout, not logic: postings still match the
     // never-compacted reference, and nothing leaked.
     ASSERT_TRUE(index.VerifyIntegrity().ok());
@@ -242,10 +282,11 @@ TEST_F(CrashSweepTest, CompactionEveryIoBoundaryRecoversToReference) {
       const Result<std::vector<DocId>> expect = reference.GetPostings(w);
       const Result<std::vector<DocId>> got = index.GetPostings(w);
       ASSERT_EQ(expect.ok(), got.ok()) << "word " << w;
-      if (expect.ok()) EXPECT_EQ(*expect, *got) << "word " << w;
+      if (expect.ok()) {
+        EXPECT_EQ(*expect, *got) << "word " << w;
+      }
     }
-    EXPECT_LE(index.disks().total_used_blocks(),
-              reference.disks().total_used_blocks());
+    EXPECT_LE(UsedBlocks(index), UsedBlocks(reference));
   }
   const uint64_t n_ops = ops_total - ops_before;
   ASSERT_GT(n_ops, 0u) << "compaction issued no physical I/O";
@@ -257,36 +298,33 @@ TEST_F(CrashSweepTest, CompactionEveryIoBoundaryRecoversToReference) {
     fault.crash_at_op = ops_before + k;
     auto schedule = std::make_shared<storage::FaultSchedule>(fault);
     {
-      core::IndexOptions options = fragmenting;
-      options.disks.fault_schedule = schedule;
-      core::InvertedIndex index(options);
+      core::ShardedIndex index(SweepOptions(schedule, fragmenting));
       Result<std::unique_ptr<core::BatchLog>> log =
           core::BatchLog::Open(wal_path_);
       ASSERT_TRUE(log.ok());
       (*log)->set_fsync(false);
       for (const auto& batch : batches) {
-        ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok())
+        ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok())
             << "crash point " << k << " fired before compaction";
       }
-      Result<core::CompactionStats> crashed = (*log)->CompactLogged(&index);
+      const std::string wal_before = FileBytes(wal_path_);
+      const Status crashed = CompactAndFlush(index);
       ASSERT_FALSE(crashed.ok()) << "crash at op " << k << " did not fire";
-      ASSERT_TRUE(crashed.status().IsIoError()) << crashed.status();
+      ASSERT_TRUE(crashed.IsIoError()) << crashed;
       // Every batch was applied and marked before the round started; the
-      // crash must not have manufactured an unapplied batch, and the 'C'
-      // record must not have been written for the torn round.
+      // torn round must not have touched the WAL at all.
       EXPECT_EQ((*log)->UnappliedBatches().size(), 0u) << "crash " << k;
-      EXPECT_EQ((*log)->compactions_logged(), 0u) << "crash " << k;
+      EXPECT_EQ(FileBytes(wal_path_), wal_before) << "crash " << k;
       // Power cut: index object, dirty frames, devices — all dropped.
     }
 
-    core::InvertedIndex recovered(fragmenting);
+    core::ShardedIndex recovered(SweepOptions(nullptr, fragmenting));
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(wal_path_);
     ASSERT_TRUE(log.ok()) << "crash " << k;
     (*log)->set_fsync(false);
     ASSERT_EQ((*log)->batches_logged(), batches.size()) << "crash " << k;
-    EXPECT_EQ((*log)->compactions_logged(), 0u) << "crash " << k;
-    ASSERT_TRUE((*log)->ReplayInto(&recovered).ok()) << "crash " << k;
+    ASSERT_TRUE(recovered.ReplayLogged(log->get(), 0).ok()) << "crash " << k;
     // Replay rebuilds the fully-applied, never-compacted state: exactly
     // the reference, chunk for chunk — no posting lost or duplicated, no
     // block leaked to a half-finished rewrite.
@@ -295,54 +333,12 @@ TEST_F(CrashSweepTest, CompactionEveryIoBoundaryRecoversToReference) {
   }
 }
 
-// A WAL that DID record the compaction (round + flush + 'C' all landed)
-// replays to the same logical state: the record is informational, replay
-// rebuilds from the batches alone.
-TEST_F(CrashSweepTest, CompactionRecordSurvivesReopenAndReplay) {
-  core::IndexOptions fragmenting = SweepOptions();
-  fragmenting.policy =
-      core::Policy::NewZ(core::AllocStrategy::kProportional, 2.0);
-  const std::vector<text::InvertedBatch> batches = SweepBatches();
-
-  core::InvertedIndex reference(fragmenting);
-  for (const auto& batch : batches) {
-    ASSERT_TRUE(reference.ApplyInvertedBatch(batch).ok());
-  }
-
-  uint64_t lists = 0;
-  {
-    core::InvertedIndex index(fragmenting);
-    Result<std::unique_ptr<core::BatchLog>> log =
-        core::BatchLog::Open(wal_path_);
-    ASSERT_TRUE(log.ok());
-    (*log)->set_fsync(false);
-    for (const auto& batch : batches) {
-      ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
-    }
-    Result<core::CompactionStats> stats = (*log)->CompactLogged(&index);
-    ASSERT_TRUE(stats.ok());
-    lists = stats->lists_compacted;
-    ASSERT_GT(lists, 0u);
-  }
-
-  Result<std::unique_ptr<core::BatchLog>> reopened =
-      core::BatchLog::Open(wal_path_);
-  ASSERT_TRUE(reopened.ok());
-  (*reopened)->set_fsync(false);
-  ASSERT_EQ((*reopened)->compactions_logged(), 1u);
-  EXPECT_EQ((*reopened)->compaction(0).lists, lists);
-  EXPECT_GT((*reopened)->compaction(0).blocks_reclaimed, 0u);
-  core::InvertedIndex recovered(fragmenting);
-  ASSERT_TRUE((*reopened)->ReplayInto(&recovered).ok());
-  ExpectBitEquivalent(recovered, reference, "replay past C record");
-}
-
 // Acceptance: silent bit flips planted below the checksum layer are
 // DETECTED — a query returns either the exact reference postings (block
 // still clean or cache-resident) or kCorruption, never wrong postings.
 TEST_F(CrashSweepTest, BitFlipsNeverReturnGarbagePostings) {
   const std::vector<text::InvertedBatch> batches = SweepBatches();
-  core::IndexOptions options = SweepOptions();
+  core::IndexOptions options = ShardOptions();
   options.cache.capacity_blocks = 0;  // every read hits the device
   core::InvertedIndex reference(options);
   core::InvertedIndex index(options);

@@ -9,6 +9,7 @@
 #include "core/batch_log.h"
 #include "core/inverted_index.h"
 #include "core/checkpoint.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 #include "sim/pipeline.h"
 
@@ -136,7 +137,8 @@ class MaintenanceCycleTest : public ::testing::Test {
   }
   void TearDown() override { Cleanup(); }
   void Cleanup() {
-    for (const char* suffix : {".super", ".ckpt-1", ".wal"}) {
+    for (const char* suffix : {".super", ".ckpt-1", ".ckpt-1-shard0",
+                               ".ckpt-1-shard1", ".wal"}) {
       std::remove((prefix_ + suffix).c_str());
     }
   }
@@ -154,6 +156,13 @@ class MaintenanceCycleTest : public ::testing::Test {
     return o;
   }
 
+  static core::ShardedIndexOptions ShardedOptions() {
+    core::ShardedIndexOptions o;
+    o.shard = Options();
+    o.num_shards = 2;
+    return o;
+  }
+
   core::Checkpointer MakeCheckpointer() const {
     core::CheckpointOptions options;
     options.prefix = prefix_;
@@ -165,7 +174,7 @@ class MaintenanceCycleTest : public ::testing::Test {
 
 TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
   // Day 1: log + apply two batches, snapshot, truncate the log.
-  core::InvertedIndex index(Options());
+  core::ShardedIndex index(ShardedOptions());
   {
     Result<std::unique_ptr<core::BatchLog>> log =
         core::BatchLog::Open(prefix_ + ".wal");
@@ -178,10 +187,7 @@ TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
       }
       batch.entries = {{0, docs},
                        {static_cast<WordId>(day + 1), {docs[0], docs[5]}}};
-      Result<uint64_t> id = (*log)->AppendBatch(batch);
-      ASSERT_TRUE(id.ok());
-      ASSERT_TRUE(index.ApplyInvertedBatch(batch).ok());
-      ASSERT_TRUE((*log)->MarkApplied(*id).ok());
+      ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
     }
     // The checkpoint also truncates the WAL to the batches it covers.
     ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log->get()).ok());
@@ -194,13 +200,16 @@ TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
   }
 
   // Recovery: restore the checkpoint, then replay the unapplied tail.
-  core::InvertedIndex recovered(Options());
-  ASSERT_TRUE(MakeCheckpointer().Recover(&recovered, /*log=*/nullptr).ok());
+  core::ShardedIndex recovered(ShardedOptions());
   Result<std::unique_ptr<core::BatchLog>> log =
       core::BatchLog::Open(prefix_ + ".wal");
   ASSERT_TRUE(log.ok());
   ASSERT_EQ((*log)->UnappliedBatches().size(), 1u);
-  ASSERT_TRUE((*log)->RecoverInto(&recovered).ok());
+  Result<core::RecoveryInfo> rec =
+      MakeCheckpointer().Recover(&recovered, log->get());
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(rec->batches_replayed, 1u);
+  EXPECT_TRUE((*log)->UnappliedBatches().empty());
 
   ASSERT_TRUE(recovered.VerifyIntegrity().ok());
   EXPECT_EQ(recovered.Locate(WordId{0}).postings, 62u);

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/batch_log.h"
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 #include "sim/observability.h"
 #include "sim/pipeline.h"
@@ -244,7 +244,7 @@ TEST(ObservedComponentsTest, WalAndQueriesRecord) {
     options.disks.num_disks = 2;
     options.disks.blocks_per_disk = 1 << 16;
     options.materialize = true;
-    core::InvertedIndex index(options);
+    core::ShardedIndex index(core::ShardedIndexOptions::Partition(options, 2));
 
     const std::string wal_path =
         (fs::temp_directory_path() / "duplex_obs_wal_test.wal").string();
@@ -259,7 +259,7 @@ TEST(ObservedComponentsTest, WalAndQueriesRecord) {
       for (DocId d = 0; d <= w; ++d) docs.push_back(d);
       batch.entries.push_back({w, docs});
     }
-    ASSERT_TRUE((*log)->ApplyLogged(&index, batch).ok());
+    ASSERT_TRUE(index.ApplyLogged(log->get(), batch, {}).ok());
     std::remove(wal_path.c_str());
 
     ir::BooleanQuery query;
@@ -272,6 +272,7 @@ TEST(ObservedComponentsTest, WalAndQueriesRecord) {
   const MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_GE(snapshot.histograms.at("duplex_core_wal_append_ns").count, 1u);
   EXPECT_GE(snapshot.histograms.at("duplex_core_batch_apply_ns").count, 1u);
+  EXPECT_EQ(snapshot.histograms.at("duplex_core_partition_ns").count, 1u);
   EXPECT_EQ(snapshot.counters.at("duplex_ir_queries_total"), 1u);
   EXPECT_GE(snapshot.histograms.at("duplex_ir_query_ns").count, 1u);
   bool saw_query_span = false;
@@ -279,6 +280,49 @@ TEST(ObservedComponentsTest, WalAndQueriesRecord) {
     if (e.name == "ir.query") saw_query_span = true;
   }
   EXPECT_TRUE(saw_query_span);
+}
+
+// Document batches take the same partition + per-shard apply path as
+// every other batch, so each flush is timed once per step and shard.
+TEST(ObservedComponentsTest, FlushDocumentsLoggedTimesPartitionAndEveryShard) {
+  MetricsRegistry registry;
+  MetricsRegistry* prev_registry = SetGlobalMetrics(&registry);
+  constexpr uint64_t kFlushes = 3;
+  constexpr uint32_t kShards = 4;
+  {
+    core::IndexOptions options;
+    options.buckets.num_buckets = 32;
+    options.buckets.bucket_capacity = 128;
+    options.disks.num_disks = 2;
+    options.disks.blocks_per_disk = 1 << 16;
+    options.materialize = true;
+    core::ShardedIndex index(
+        core::ShardedIndexOptions::Partition(options, kShards));
+    const std::string wal_path =
+        (fs::temp_directory_path() / "duplex_obs_flush_test.wal").string();
+    std::remove(wal_path.c_str());
+    Result<std::unique_ptr<core::BatchLog>> log =
+        core::BatchLog::Open(wal_path);
+    ASSERT_TRUE(log.ok());
+    (*log)->set_fsync(false);
+    for (uint64_t f = 0; f < kFlushes; ++f) {
+      index.AddDocument("alpha beta gamma delta");
+      index.AddDocument("epsilon zeta eta theta");
+      ASSERT_TRUE(index.FlushDocumentsLogged(log->get()).ok());
+    }
+    EXPECT_EQ((*log)->batches_applied(), kFlushes);
+    std::remove(wal_path.c_str());
+  }
+  SetGlobalMetrics(prev_registry);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.histograms.at("duplex_core_partition_ns").count,
+            kFlushes);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const std::string series =
+        "duplex_core_shard_apply_ns{shard=\"" + std::to_string(s) + "\"}";
+    ASSERT_EQ(snapshot.histograms.count(series), 1u) << series;
+    EXPECT_EQ(snapshot.histograms.at(series).count, kFlushes) << series;
+  }
 }
 
 }  // namespace

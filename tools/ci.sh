@@ -9,17 +9,17 @@
 # over the recovery surface (fault injection, crash sweeps, WAL,
 # checkpoint, superblock, codecs, frame fuzz, the in-memory block device).
 # Then the benchmark harness's self-test (perfbench/run.py --selftest),
-# bench smokes that refresh BENCH_cache.json and BENCH_compaction.json,
-# and the read-path bench gate that fails if the QueryExecutor seam
-# regresses query throughput by >2%. The loopback smoke drives the real
+# the cache and compaction bench smokes, and the read-path bench gate
+# that fails if the QueryExecutor seam regresses query throughput by >2%.
+# Every bench smoke runs inside build-ci-release/, so its smoke-scale
+# BENCH_*.json lands there and the committed ones in the repo root stay
+# as their stated scale wrote them. The loopback smoke drives the real
 # binaries: `duplexctl build` -> `duplexd --checkpoint` -> net-query over
 # the built prefix, then a duplexd with WAL, checkpoints, admin plane and
 # live ingest is driven by duplexctl's net-* commands (query, submit,
 # submit-live, stats, /healthz, /readyz, /metrics, /statusz) and shut
 # down with SIGTERM, which must leave a shutdown checkpoint. Last come the
-# saturation, observability, recovery and live-ingest bench smokes, which
-# refresh BENCH_server.json, BENCH_observability.json, BENCH_recovery.json
-# and BENCH_live_ingest.json.
+# saturation, observability, recovery and live-ingest bench smokes.
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
 
@@ -63,18 +63,24 @@ ctest --test-dir build-ci-asan --output-on-failure -j "$JOBS" \
 echo "=== Benchmark harness self-test (perfbench percentile/oracle/lateness) ==="
 python3 perfbench/run.py --selftest
 
-echo "=== Cache-sweep bench smoke (writes BENCH_cache.json) ==="
-DUPLEX_BENCH_UPDATES="${DUPLEX_BENCH_UPDATES:-6}" \
-DUPLEX_BENCH_DOCS="${DUPLEX_BENCH_DOCS:-150}" \
-  ./build-ci-release/bench/bench_ext_cache_hit >/dev/null
+# Runs a bench binary from build-ci-release/bench inside build-ci-release/,
+# where its BENCH_*.json output lands.
+bench_smoke() {
+  (cd build-ci-release && "./bench/$1")
+}
 
-echo "=== Compaction bench smoke (writes BENCH_compaction.json) ==="
+echo "=== Cache-sweep bench smoke (build-ci-release/BENCH_cache.json) ==="
 DUPLEX_BENCH_UPDATES="${DUPLEX_BENCH_UPDATES:-6}" \
 DUPLEX_BENCH_DOCS="${DUPLEX_BENCH_DOCS:-150}" \
-  ./build-ci-release/bench/bench_ext_compaction >/dev/null
+  bench_smoke bench_ext_cache_hit >/dev/null
+
+echo "=== Compaction bench smoke (build-ci-release/BENCH_compaction.json) ==="
+DUPLEX_BENCH_UPDATES="${DUPLEX_BENCH_UPDATES:-6}" \
+DUPLEX_BENCH_DOCS="${DUPLEX_BENCH_DOCS:-150}" \
+  bench_smoke bench_ext_compaction >/dev/null
 
 echo "=== Read-path bench smoke (executor vs direct-overload, <2% budget) ==="
-./build-ci-release/bench/bench_ext_read_path
+bench_smoke bench_ext_read_path
 
 echo "=== Loopback smoke (duplexd + duplexctl + clean SIGTERM shutdown) ==="
 SMOKE_DIR="$(mktemp -d)"
@@ -187,26 +193,25 @@ wait "$DUPLEXD_PID" || { echo "duplexd exited non-zero"; \
 ./build-ci-release/examples/duplexctl recover-demo >/dev/null \
   || { echo "recover-demo failed"; exit 1; }
 
-echo "=== Server saturation bench smoke (writes BENCH_server.json) ==="
+echo "=== Server saturation bench smoke (build-ci-release/BENCH_server.json) ==="
 DUPLEX_BENCH_NET_MS="${DUPLEX_BENCH_NET_MS:-500}" \
 DUPLEX_BENCH_NET_DOCS="${DUPLEX_BENCH_NET_DOCS:-500}" \
-  ./build-ci-release/bench/bench_ext_server_saturation >/dev/null
+  bench_smoke bench_ext_server_saturation >/dev/null
 
-echo "=== Observability bench smoke (writes BENCH_observability.json) ==="
+echo "=== Observability bench smoke (build-ci-release/BENCH_observability.json) ==="
 # Informational, not a hard gate: the micro phases measure tens of
 # microseconds of instrumentation against tens of milliseconds of work,
 # so shared-machine noise swings them past any fixed threshold.
-./build-ci-release/bench/bench_ext_observability 2>/dev/null \
-  | tail -n 8
+bench_smoke bench_ext_observability 2>/dev/null | tail -n 8
 
-echo "=== Recovery bench smoke (writes BENCH_recovery.json) ==="
+echo "=== Recovery bench smoke (build-ci-release/BENCH_recovery.json) ==="
 DUPLEX_BENCH_RECOVERY_MAX="${DUPLEX_BENCH_RECOVERY_MAX:-16}" \
 DUPLEX_BENCH_RECOVERY_DOCS="${DUPLEX_BENCH_RECOVERY_DOCS:-80}" \
-  ./build-ci-release/bench/bench_ext_recovery >/dev/null
+  bench_smoke bench_ext_recovery >/dev/null
 
-echo "=== Live-ingest bench smoke (writes BENCH_live_ingest.json) ==="
+echo "=== Live-ingest bench smoke (build-ci-release/BENCH_live_ingest.json) ==="
 DUPLEX_BENCH_DOCS="${DUPLEX_BENCH_DOCS:-300}" \
 DUPLEX_BENCH_LIVE_SUBMITS="${DUPLEX_BENCH_LIVE_SUBMITS:-300}" \
-  ./build-ci-release/bench/bench_ext_live_ingest >/dev/null
+  bench_smoke bench_ext_live_ingest >/dev/null
 
 echo "CI OK"

@@ -333,32 +333,23 @@ int Run(const DaemonFlags& flags) {
     std::cerr << "recovered (" << core::RecoveryModeName(recovered->mode)
               << "): " << recovered->batches_replayed
               << " WAL batches replayed; " << recovered->detail << "\n";
-  } else if (wal != nullptr && wal->batches_logged() > 0) {
+  } else if (wal != nullptr) {
     // No checkpointing configured: the only recovery path is replaying
-    // the full history into the fresh index.
-    uint64_t replayed = 0;
-    Status s = wal->ReplayFrom(0, [&](const core::BatchLog::LoggedBatch& b) {
-      ++replayed;
-      // Word strings first: the fresh index's vocabulary knows nothing,
-      // and the postings below reference the ids these strings name.
-      if (Status words = index.RestoreBatchWords(b.docs, b.words);
-          !words.ok()) {
-        return words;
-      }
-      Status applied = b.materialized ? index.ApplyInvertedBatch(b.docs)
-                                      : index.ApplyBatchUpdate(b.counts);
-      if (!applied.ok()) return applied;
-      return index.FlushCaches();
-    });
-    if (!s.ok()) {
-      std::cerr << "WAL replay failed: " << s << "\n";
+    // the full history into the fresh index. A WAL some checkpoint
+    // truncated no longer holds it; ReplayLogged refuses it typed rather
+    // than serve an index missing every batch that checkpoint covers.
+    Result<uint64_t> replayed = index.ReplayLogged(wal.get(), 0);
+    if (!replayed.ok()) {
+      std::cerr << "WAL replay failed: " << replayed.status() << "\n";
       return 1;
     }
-    LogInfo("duplexd.recovered")
-        .Str("mode", "full-rebuild")
-        .U64("batches_replayed", replayed);
-    std::cerr << "recovered (full-rebuild): " << replayed
-              << " WAL batches replayed\n";
+    if (*replayed > 0) {
+      LogInfo("duplexd.recovered")
+          .Str("mode", "full-rebuild")
+          .U64("batches_replayed", *replayed);
+      std::cerr << "recovered (full-rebuild): " << *replayed
+                << " WAL batches replayed\n";
+    }
   }
 
   readiness.SetStage("indexing startup inputs");
