@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_workload.h"
 #include "util/table_writer.h"
 
@@ -45,7 +45,8 @@ int main() {
     config.cache_blocks = mib * ((1024 * 1024) / config.block_size);
 
     Stopwatch watch;
-    core::InvertedIndex index(config.ToIndexOptions(policy));
+    core::ShardedIndex index(core::ShardedIndexOptions::Partition(
+        config.ToIndexOptions(policy), 1));
     for (const text::BatchUpdate& batch : stream.batches) {
       if (!index.ApplyBatchUpdate(batch).ok()) return 1;
     }
@@ -53,12 +54,16 @@ int main() {
     SweepPoint point;
     point.cache_mib = mib;
     point.cache_blocks = config.cache_blocks;
-    point.io_ops = index.trace().CountOps();
-    point.physical_ops = index.trace().CountPhysicalOps();
-    point.cached_ops = index.trace().CountCachedOps();
-    point.physical_reads =
-        index.trace().CountPhysicalOps(storage::IoOp::kRead);
-    point.hit_rate = index.cache_stats().hit_rate();
+    const storage::IoTrace trace = index.MergedTrace();
+    point.io_ops = trace.CountOps();
+    point.physical_ops = trace.CountPhysicalOps();
+    point.cached_ops = trace.CountCachedOps();
+    point.physical_reads = trace.CountPhysicalOps(storage::IoOp::kRead);
+    const core::IndexStats stats = index.Stats();
+    storage::CacheStats cache;
+    cache.hits = stats.cache_hits;
+    cache.misses = stats.cache_misses;
+    point.hit_rate = cache.hit_rate();
 
     // Query side: the same sampled workload per size (fixed seed), costed
     // against the final layout and the pool's end-of-run residency.

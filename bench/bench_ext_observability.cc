@@ -287,7 +287,8 @@ int main() {
   query_options.disks.num_disks = 2;
   query_options.disks.blocks_per_disk = 1 << 18;
   query_options.materialize = true;
-  core::InvertedIndex query_index(query_options);
+  core::ShardedIndex query_index(
+      core::ShardedIndexOptions::Partition(query_options, 1));
   {
     static constexpr const char* kPool[] = {
         "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",

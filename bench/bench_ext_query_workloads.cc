@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_workload.h"
 #include "util/metrics.h"
 #include "util/table_writer.h"
@@ -21,7 +21,8 @@ int main() {
   for (const auto& [label, policy] : bench::FigurePolicies()) {
     // Build the final index under this policy, then sample workloads.
     sim::SimConfig config = bench::BenchConfig();
-    core::InvertedIndex index(config.ToIndexOptions(policy));
+    core::ShardedIndex index(core::ShardedIndexOptions::Partition(
+        config.ToIndexOptions(policy), 1));
     for (const text::BatchUpdate& batch : bench::SharedStream().batches) {
       if (!index.ApplyBatchUpdate(batch).ok()) return 1;
     }

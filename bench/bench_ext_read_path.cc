@@ -1,7 +1,7 @@
 // Read-path regression gate: boolean query throughput through the
 // ir::QueryExecutor (one evaluator over the virtual core::IndexReader
 // seam) versus a local replica of the pre-executor per-index evaluator
-// (direct calls on the concrete InvertedIndex, the devirtualized shape
+// (direct calls on the concrete ShardedIndex, the devirtualized shape
 // the old EvaluateBoolean overloads compiled to). The refactor's budget
 // is <2% throughput loss; this bench exits 1 when the gate fails, so
 // ci.sh can run it as a smoke test.
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -36,7 +36,7 @@ struct DirectCost {
   uint64_t missing_terms = 0;
 };
 
-Status EvalNodeDirect(const core::InvertedIndex& index,
+Status EvalNodeDirect(const core::ShardedIndex& index,
                       const ir::BooleanQuery& node, DirectCost* cost,
                       std::vector<DocId>* out) {
   switch (node.kind) {
@@ -78,7 +78,7 @@ Status EvalNodeDirect(const core::InvertedIndex& index,
   return Status::Internal("unreachable");
 }
 
-Result<ir::QueryResult> EvaluateDirect(const core::InvertedIndex& index,
+Result<ir::QueryResult> EvaluateDirect(const core::ShardedIndex& index,
                                        const ir::BooleanQuery& query) {
   static thread_local uint32_t span_tick = 0;
   MetricsRegistry* reg = GlobalMetrics();
@@ -100,7 +100,7 @@ Result<ir::QueryResult> EvaluateDirect(const core::InvertedIndex& index,
 
 // --- Fixture ---------------------------------------------------------------
 
-std::unique_ptr<core::InvertedIndex> BuildIndex() {
+std::unique_ptr<core::ShardedIndex> BuildIndex() {
   core::IndexOptions options;
   options.buckets.num_buckets = 256;
   options.buckets.bucket_capacity = 128;
@@ -109,7 +109,8 @@ std::unique_ptr<core::InvertedIndex> BuildIndex() {
   options.disks.num_disks = 2;
   options.disks.blocks_per_disk = 1 << 18;
   options.materialize = true;
-  auto index = std::make_unique<core::InvertedIndex>(options);
+  auto index = std::make_unique<core::ShardedIndex>(
+      core::ShardedIndexOptions::Partition(options, 1));
 
   static constexpr const char* kPool[] = {
       "alpha", "beta",  "gamma",   "delta", "epsilon", "zeta",
@@ -155,7 +156,7 @@ std::vector<std::unique_ptr<ir::BooleanQuery>> BuildQueries() {
 }  // namespace
 
 int main() {
-  const std::unique_ptr<core::InvertedIndex> index = BuildIndex();
+  const std::unique_ptr<core::ShardedIndex> index = BuildIndex();
   const std::vector<std::unique_ptr<ir::BooleanQuery>> queries =
       BuildQueries();
   const ir::QueryExecutor executor(*index);

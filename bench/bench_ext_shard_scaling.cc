@@ -37,7 +37,7 @@ int main() {
   double baseline_seconds = 0.0;
   for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
     // Timed apply (no concurrent readers) for the clean speedup number.
-    const sim::ShardedRunResult run = sim::RunPolicySharded(
+    const sim::PolicyRunResult run = sim::RunPolicy(
         bench::BenchConfig(), stream.batches, core::Policy::NewZ(), shards);
     if (shards == 1) baseline_seconds = run.harness_seconds;
     std::cerr << "[bench] shards=" << shards << " applied in "

@@ -2,10 +2,10 @@
 // merges and end-to-end boolean evaluation over a materialized index.
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <set>
+#include <string>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 #include "util/random.h"
 
@@ -50,7 +50,18 @@ void BM_Union(benchmark::State& state) {
 }
 BENCHMARK(BM_Union)->Arg(1024)->Arg(65536);
 
-core::InvertedIndex* BuildQueryIndex() {
+// A letters-only word name ("wa", "wb", ...): the tokenizer splits runs of
+// letters from runs of digits.
+std::string WordName(uint32_t w) {
+  std::string name = "w";
+  do {
+    name += static_cast<char>('a' + w % 26);
+    w /= 26;
+  } while (w > 0);
+  return name;
+}
+
+core::ShardedIndex* BuildQueryIndex() {
   core::IndexOptions options;
   options.buckets.num_buckets = 256;
   options.buckets.bucket_capacity = 256;
@@ -59,36 +70,30 @@ core::InvertedIndex* BuildQueryIndex() {
   options.disks.num_disks = 2;
   options.disks.blocks_per_disk = 1 << 18;
   options.materialize = true;
-  auto* index = new core::InvertedIndex(options);
+  auto* index = new core::ShardedIndex(
+      core::ShardedIndexOptions::Partition(options, 1));
   Rng rng(3);
-  DocId next_doc = 0;
   for (int batch = 0; batch < 10; ++batch) {
-    std::map<WordId, std::vector<DocId>> lists;
     for (int d = 0; d < 300; ++d) {
-      const DocId doc = next_doc++;
-      std::set<WordId> words;
+      std::set<uint32_t> words;
       for (int i = 0; i < 20; ++i) {
-        words.insert(static_cast<WordId>(
+        words.insert(static_cast<uint32_t>(
             rng.Bernoulli(0.5) ? rng.Uniform(20) : rng.Uniform(3000)));
       }
-      for (const WordId w : words) lists[w].push_back(doc);
+      std::string text;
+      for (const uint32_t w : words) text += WordName(w) + " ";
+      index->AddDocument(text);
     }
-    text::InvertedBatch update;
-    for (auto& [w, docs] : lists) update.entries.push_back({w, docs});
-    if (!index->ApplyInvertedBatch(update).ok()) std::abort();
-  }
-  // Give the frequent words names the parser can use.
-  for (WordId w = 0; w < 20; ++w) {
-    index->vocabulary().GetOrAdd("w" + std::to_string(w));
+    if (!index->FlushDocuments().ok()) std::abort();
   }
   return index;
 }
 
 void BM_BooleanQuery(benchmark::State& state) {
-  static core::InvertedIndex* index = BuildQueryIndex();
+  static core::ShardedIndex* index = BuildQueryIndex();
   for (auto _ : state) {
     auto r = ir::QueryExecutor(*index).EvaluateBoolean(
-        "(w0 AND w1) OR (w2 AND NOT w3)");
+        "(wa AND wb) OR (wc AND NOT wd)");
     benchmark::DoNotOptimize(r);
     if (!r.ok()) std::abort();
   }

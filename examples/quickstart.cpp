@@ -1,31 +1,41 @@
 // Quickstart: build a small dual-structure inverted index over raw text
-// documents, query it (boolean and vector-space), and delete a document.
+// documents, query it (boolean and vector-space), delete a document, and
+// read its statistics. The index is word-partitioned across four shards:
+// each shard owns its own bucket store, long-list store, directory and
+// disk array behind its own reader-writer lock; batch updates split by
+// word hash and apply to the shards in parallel, while each query term
+// goes to its owning shard only — so an update on one shard never blocks
+// a query whose words live elsewhere (the paper's 24x7 motivation). One
+// shard is the paper's single index.
 //
 //   $ ./quickstart
 #include <iostream>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 
 int main() {
   using namespace duplex;
 
-  // 1. Configure the index. `materialize = true` stores real posting
-  //    payloads so queries work; the policy controls how long lists are
-  //    laid out on disk (here: the paper's recommended update-optimized
-  //    policy, new style + proportional reservation 1.2).
-  core::IndexOptions options;
-  options.buckets.num_buckets = 64;
-  options.buckets.bucket_capacity = 256;
-  options.policy = core::Policy::RecommendedUpdateOptimized();
-  options.block_postings = 64;
-  options.disks.num_disks = 2;
-  options.disks.blocks_per_disk = 1 << 16;
-  options.materialize = true;
-  core::InvertedIndex index(options);
+  // 1. Configure one index worth of resources, partitioned across four
+  //    shards (the bucket space divides; each shard owns its own disks).
+  //    `materialize = true` stores real posting payloads so queries work;
+  //    the policy controls how long lists are laid out on disk (here: the
+  //    paper's recommended update-optimized policy, new style +
+  //    proportional reservation 1.2).
+  core::IndexOptions total;
+  total.buckets.num_buckets = 64;
+  total.buckets.bucket_capacity = 256;
+  total.policy = core::Policy::RecommendedUpdateOptimized();
+  total.block_postings = 64;
+  total.disks.num_disks = 2;
+  total.disks.blocks_per_disk = 1 << 16;
+  total.materialize = true;
+  core::ShardedIndex index(core::ShardedIndexOptions::Partition(total, 4));
 
-  // 2. Add documents. Documents buffer in memory; FlushDocuments() pushes
-  //    one batch into the on-disk structures (the paper's batch update).
+  // 2. Add documents. Documents buffer in memory and are searchable at
+  //    once; FlushDocuments() pushes one batch into the on-disk structures
+  //    (the paper's batch update), partitioned by word hash.
   index.AddDocument("the quick brown fox jumps over the lazy dog");
   index.AddDocument("a quick survey of text document retrieval");
   index.AddDocument("inverted lists map each word to its documents");
@@ -45,8 +55,7 @@ int main() {
   }
 
   // 3. Queries go through one ir::QueryExecutor, which works over any
-  //    core::IndexReader (InvertedIndex here; ShardedIndex or a
-  //    MergingReader overlay work identically).
+  //    core::IndexReader (this ShardedIndex, or a MergingReader overlay).
   ir::QueryExecutor executor(index);
 
   //    Boolean queries, e.g. the paper's "(cat and dog) or mouse" form.
@@ -83,6 +92,10 @@ int main() {
   //    reclaims the space.
   index.DeleteDocument(0);
   Result<ir::QueryResult> after = executor.EvaluateBoolean("lazy");
+  if (!after.ok()) {
+    std::cerr << "query failed: " << after.status() << "\n";
+    return 1;
+  }
   std::cout << "after deleting doc 0, 'lazy' matches " << after->docs.size()
             << " docs\n";
   if (Status s = index.SweepDeletions(); !s.ok()) {
@@ -90,11 +103,23 @@ int main() {
     return 1;
   }
 
-  // 6. Index statistics.
-  const core::IndexStats stats = index.Stats();
+  // 6. Per-shard and merged statistics; every shard verifies.
+  const std::vector<core::IndexStats> per_shard = index.ShardStats();
+  for (uint32_t s = 0; s < index.num_shards(); ++s) {
+    std::cout << "shard " << s << ": " << per_shard[s].total_postings
+              << " postings, " << per_shard[s].bucket_words
+              << " bucket words, " << per_shard[s].long_words
+              << " long words\n";
+  }
+  const core::IndexStats stats = core::MergeStats(per_shard);
   std::cout << "index: " << stats.total_postings << " postings, "
             << stats.bucket_words << " bucket words, " << stats.long_words
             << " long words, utilization " << stats.long_utilization
             << ", " << stats.io_ops << " I/O events recorded\n";
+  if (Status s = index.VerifyIntegrity(); !s.ok()) {
+    std::cerr << "integrity check failed: " << s << "\n";
+    return 1;
+  }
+  std::cout << "integrity ok\n";
   return 0;
 }

@@ -482,6 +482,14 @@ Status BatchLog::ReplayFrom(
         std::to_string(base_epoch_) +
         ", so recover from that checkpoint (duplexd --checkpoint <prefix>)");
   }
+  if (epoch > next_id_) {
+    // The log would hand out ids the checkpoint already covers, and the
+    // next restart's replay would pass over them as covered.
+    return Status::Corruption(
+        "replay from batch " + std::to_string(epoch) + " but " + path_ +
+        " ends before it (next id " + std::to_string(next_id_) +
+        "): the log lost records the checkpoint covers");
+  }
   ScopedLatency timer(m_replay_ns_);
   Span span = TraceSpan("core.wal_replay");
   for (const Record& record : records_) {

@@ -121,7 +121,9 @@ class BatchLog {
   // gaps: FailedPrecondition when epoch < base_epoch() (the batches needed
   // were truncated away after a checkpoint, which alone still holds them)
   // and Corruption when an unapplied batch predates `epoch` (the
-  // checkpoint claims coverage the log contradicts).
+  // checkpoint claims coverage the log contradicts) or when epoch >
+  // next_id() (the log lost records the checkpoint covers, e.g. a damaged
+  // lone truncation record, or a fresh log beside an older checkpoint).
   Status ReplayFrom(uint64_t epoch,
                     const std::function<Status(const LoggedBatch&)>& apply);
 

@@ -201,12 +201,16 @@ Status DecodeDocState(const std::string& bytes, size_t* pos,
   return DecodePostings(bytes, pos, *n_deleted, 0, deleted);
 }
 
-// Serializes the LOGICAL state of one index: every posting list with its
-// home structure, vocabulary, doc state, compaction totals — but no block
-// addresses. Restore re-derives physical placement through the ordinary
-// policy path, so the image is geometry-checked but layout-free.
+// Serializes the LOGICAL state of one shard store: every posting list
+// with its home structure, the store's doc-id horizon and compaction
+// totals — but no block addresses. Restore re-derives physical placement
+// through the ordinary policy path, so the image is geometry-checked but
+// layout-free. The image format also carries a vocabulary (always empty:
+// the manifest holds the index's one vocabulary) and the manifest's
+// sorted deleted list `deleted`.
 Result<std::string> EncodeImage(const InvertedIndex& index,
-                                uint64_t wal_epoch) {
+                                uint64_t wal_epoch,
+                                const std::vector<DocId>& deleted) {
   const bool materialized = index.options().materialize;
   std::string stream;
   stream.append(kImageMagic, sizeof(kImageMagic));
@@ -259,9 +263,7 @@ Result<std::string> EncodeImage(const InvertedIndex& index,
   EncodeWordSection(long_words, materialized, &stream);
   EncodeWordSection(bucket_words, materialized, &stream);
 
-  EncodeVocabulary(index.vocabulary(), &stream);
-  std::vector<DocId> deleted = index.deleted_docs();
-  std::sort(deleted.begin(), deleted.end());
+  PutVarint64(0, &stream);  // empty vocabulary section
   EncodeDocState(index.next_doc_id(), deleted, &stream);
   EncodeCompactionTotals(index.compaction_totals(), &stream);
 
@@ -351,10 +353,12 @@ Status ValidateGeometry(const CheckpointImage& image,
   return Status::OK();
 }
 
-// Applies a fully validated image to a freshly constructed index. Long
-// lists first (policy path re-derives chunk placement), then bucket
-// lists, then vocabulary/doc state/compaction totals, then a cache flush
-// so the restored state is on the devices, not hostage in dirty frames.
+// Applies a fully validated image to a freshly constructed shard store.
+// Long lists first (policy path re-derives chunk placement), then bucket
+// lists, then the doc-id horizon and compaction totals, then a cache
+// flush so the restored state is on the devices, not hostage in dirty
+// frames. The image's vocabulary and deleted list are parsed but not
+// applied: the manifest is the authority for both.
 Status RestoreImage(const CheckpointImage& image, InvertedIndex* index) {
   DUPLEX_RETURN_IF_ERROR(ValidateGeometry(image, index->options()));
   for (const WordEntry& entry : image.long_words) {
@@ -371,13 +375,7 @@ Status RestoreImage(const CheckpointImage& image, InvertedIndex* index) {
             : PostingList::Counted(entry.count);
     DUPLEX_RETURN_IF_ERROR(index->RestoreWord(entry.word, list, false));
   }
-  for (size_t i = 0; i < image.vocabulary.size(); ++i) {
-    if (index->vocabulary().GetOrAdd(image.vocabulary[i]) != i) {
-      return Status::Corruption(
-          "checkpoint vocabulary must restore densely in order");
-    }
-  }
-  index->RestoreDocState(image.next_doc_id, image.deleted);
+  index->RestoreNextDocId(image.next_doc_id);
   index->RestoreCompactionTotals(image.totals);
   return index->FlushCaches();
 }
@@ -575,7 +573,8 @@ Result<CheckpointInfo> Checkpointer::Checkpoint(const ShardedIndex& index,
         // them; the manifest lands before the slot flip that makes it
         // current. Same discipline at every level: referent first.
         for (size_t k = 0; k < view.shards.size(); ++k) {
-          Result<std::string> image = EncodeImage(*view.shards[k], epoch);
+          Result<std::string> image =
+              EncodeImage(*view.shards[k], epoch, view.deleted);
           if (!image.ok()) return image.status();
           ManifestShard shard;
           shard.name = manifest_name + "-shard" + std::to_string(k);

@@ -19,8 +19,8 @@ struct UpdateCategories {
 };
 
 // Snapshot of index-wide statistics after an update. Produced per
-// InvertedIndex; a ShardedIndex produces one per shard and reduces them
-// with MergeStats().
+// InvertedIndex shard store; a ShardedIndex produces one per shard and
+// reduces them with MergeStats().
 struct IndexStats {
   uint64_t updates_applied = 0;
   uint64_t total_postings = 0;
@@ -47,8 +47,8 @@ struct IndexStats {
   uint64_t cache_pinned_peak = 0;
   uint64_t cache_physical_reads = 0;
   uint64_t cache_physical_writes = 0;
-  // How many per-index snapshots this value aggregates (1 for a single
-  // InvertedIndex). Carried so pairwise Merge() can recombine
+  // How many per-shard snapshots this value aggregates (1 for a single
+  // shard store). Carried so pairwise Merge() can recombine
   // `bucket_occupancy` (a per-snapshot mean) associatively.
   uint64_t stats_sources = 1;
 
@@ -66,9 +66,9 @@ struct IndexStats {
   std::string ToJson() const;
 };
 
-// Where a word's list lives — input to the query cost model. Historically
-// nested in InvertedIndex (still aliased there); hoisted so the sharded
-// index and the ir layer can speak it without the full index type.
+// Where a word's list lives — input to the query cost model. Reported by
+// every IndexReader and by each InvertedIndex shard store (aliased there),
+// so the ir layer can speak it without the store type.
 struct ListLocation {
   bool exists = false;
   bool is_long = false;

@@ -146,33 +146,6 @@ Status InvertedIndex::ApplyInvertedBatch(const text::InvertedBatch& batch) {
   return FlushMeta();
 }
 
-DocId InvertedIndex::AddDocument(const std::string& text) {
-  const DocId doc =
-      next_doc_id_ + static_cast<DocId>(memory_index_.document_count());
-  memory_index_.AddDocument(doc, text);
-  return doc;
-}
-
-Status InvertedIndex::FlushDocuments() {
-  if (memory_index_.empty()) return Status::OK();
-  text::InvertedBatch batch;
-  batch.entries.reserve(memory_index_.lists().size());
-  for (const auto& [word, docs] : memory_index_.lists()) {
-    batch.entries.push_back({word, docs});
-  }
-  std::sort(batch.entries.begin(), batch.entries.end(),
-            [](const text::InvertedBatch::Entry& a,
-               const text::InvertedBatch::Entry& b) {
-              return a.word < b.word;
-            });
-  const DocId new_next =
-      next_doc_id_ + static_cast<DocId>(memory_index_.document_count());
-  DUPLEX_RETURN_IF_ERROR(ApplyInvertedBatch(batch));
-  next_doc_id_ = std::max(next_doc_id_, new_next);
-  memory_index_.Clear();
-  return Status::OK();
-}
-
 Status InvertedIndex::GrowBuckets(uint32_t new_num_buckets,
                                   uint64_t new_bucket_capacity) {
   for (auto& [word, list] :
@@ -292,12 +265,6 @@ Status InvertedIndex::RestoreWord(WordId word, const PostingList& list,
   return Status::OK();
 }
 
-void InvertedIndex::RestoreDocState(DocId next_doc_id,
-                                    std::vector<DocId> deleted) {
-  next_doc_id_ = std::max(next_doc_id_, next_doc_id);
-  deleted_.insert(deleted.begin(), deleted.end());
-}
-
 InvertedIndex::ListLocation InvertedIndex::Locate(WordId word) const {
   ListLocation loc;
   if (const LongList* list = long_lists_->directory().Find(word)) {
@@ -330,64 +297,22 @@ InvertedIndex::ListLocation InvertedIndex::Locate(WordId word) const {
     loc.chunks = 1;  // one bucket read fetches the whole short list
     loc.postings = list->size();
   }
-  // Buffered postings are visible too; they cost no disk reads.
-  if (const std::vector<DocId>* buffered = memory_index_.Find(word)) {
-    loc.exists = true;
-    loc.postings += buffered->size();
-  }
   return loc;
-}
-
-InvertedIndex::ListLocation InvertedIndex::Locate(
-    std::string_view word) const {
-  const WordId id = vocabulary_.Lookup(word);
-  if (id == kInvalidWord) return ListLocation{};
-  return Locate(id);
 }
 
 Result<std::vector<DocId>> InvertedIndex::GetPostings(WordId word) const {
   if (!options_.materialize) {
     return Status::FailedPrecondition("index is not materialized");
   }
-  std::vector<DocId> docs;
-  bool found = false;
-  if (long_lists_->Contains(word)) {
-    Result<std::vector<DocId>> r = long_lists_->ReadPostings(word);
-    if (!r.ok()) return r.status();
-    docs = std::move(*r);
-    found = true;
-  } else if (const PostingList* list = buckets_.Find(word)) {
-    docs = list->docs();
-    found = true;
-  }
-  // The unflushed in-memory batch is searched together with the on-disk
-  // index (paper Section 1); its doc ids are strictly newer.
-  if (const std::vector<DocId>* buffered = memory_index_.Find(word)) {
-    DUPLEX_CHECK(docs.empty() || docs.back() < buffered->front());
-    docs.insert(docs.end(), buffered->begin(), buffered->end());
-    found = true;
-  }
-  if (!found) return Status::NotFound("word has no inverted list");
-  if (!deleted_.empty()) {
-    docs.erase(std::remove_if(docs.begin(), docs.end(),
-                              [&](DocId d) { return deleted_.contains(d); }),
-               docs.end());
-  }
-  return docs;
-}
-
-Result<std::vector<DocId>> InvertedIndex::GetPostings(
-    std::string_view word) const {
-  const WordId id = vocabulary_.Lookup(word);
-  if (id == kInvalidWord) return Status::NotFound("unknown word");
-  return GetPostings(id);
+  if (long_lists_->Contains(word)) return long_lists_->ReadPostings(word);
+  if (const PostingList* list = buckets_.Find(word)) return list->docs();
+  return Status::NotFound("word has no inverted list");
 }
 
 void InvertedIndex::ForEachWord(
     const std::function<void(WordId)>& fn) const {
   // A word lives in exactly one on-disk structure (directory or bucket),
-  // so those two walks never repeat a word; buffered words are emitted
-  // only when the word has no flushed list yet.
+  // so the two walks never repeat a word.
   for (const auto& [word, list] : long_lists_->directory().lists()) {
     fn(word);
   }
@@ -396,18 +321,14 @@ void InvertedIndex::ForEachWord(
       fn(word);
     }
   }
-  for (const auto& [word, list] : memory_index_.lists()) {
-    if (!long_lists_->Contains(word) && buckets_.Find(word) == nullptr) {
-      fn(word);
-    }
-  }
 }
 
-Status InvertedIndex::SweepDeletions() {
+Status InvertedIndex::SweepDeletions(
+    const std::unordered_set<DocId>& deleted) {
   if (!options_.materialize) {
     return Status::FailedPrecondition("sweep requires a materialized index");
   }
-  if (deleted_.empty()) return Status::OK();
+  if (deleted.empty()) return Status::OK();
   // Long lists: rewrite each list without the deleted documents. The
   // paper describes this as a background process sweeping one list at a
   // time.
@@ -424,7 +345,7 @@ Status InvertedIndex::SweepDeletions() {
     std::vector<DocId> kept;
     kept.reserve(docs->size());
     for (const DocId d : *docs) {
-      if (!deleted_.contains(d)) kept.push_back(d);
+      if (!deleted.contains(d)) kept.push_back(d);
     }
     if (kept.size() == docs->size()) continue;
     removed += docs->size() - kept.size();
@@ -435,11 +356,8 @@ Status InvertedIndex::SweepDeletions() {
     }
   }
   removed += buckets_.FilterPostings(
-      [&](DocId d) { return deleted_.contains(d); });
+      [&](DocId d) { return deleted.contains(d); });
   total_postings_ -= removed;
-  // "After a sweep of the index, the list of deleted document identifiers
-  // can be thrown away."
-  deleted_.clear();
   return Status::OK();
 }
 
@@ -503,8 +421,6 @@ Status InvertedIndex::VerifyIntegrity() const {
     prev_end = end;
     first = false;
   }
-  // total_postings_ counts flushed postings only; the in-memory batch is
-  // accounted separately until FlushDocuments().
   const IndexStats s = Stats();
   if (s.bucket_postings + s.long_postings != s.total_postings) {
     return Status::Corruption("posting totals inconsistent");

@@ -1,25 +1,21 @@
 #ifndef DUPLEX_CORE_INVERTED_INDEX_H_
 #define DUPLEX_CORE_INVERTED_INDEX_H_
 
+#include <algorithm>
+#include <functional>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "core/bucket_store.h"
 #include "core/codec_family.h"
 #include "core/compactor.h"
-#include "core/index_reader.h"
 #include "core/index_stats.h"
 #include "core/long_list_store.h"
-#include "core/memory_index.h"
 #include "core/policy.h"
 #include "storage/disk_array.h"
 #include "storage/io_trace.h"
 #include "text/batch.h"
-#include "text/tokenizer.h"
-#include "text/vocabulary.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/tracer.h"
@@ -73,13 +69,16 @@ struct IndexOptions {
 // UpdateCategories / IndexStats / ListLocation live in core/index_stats.h
 // so the sharded index and ir layers can use them without this header.
 
-// The dual-structure incremental inverted index (the paper's primary
-// contribution). New documents accumulate in an in-memory index; each
-// FlushBatch / ApplyBatchUpdate pushes one batch into the on-disk
-// structures: short lists into hash-addressed fixed-size buckets, bucket
-// overflows promoting the longest short lists into policy-managed long
-// lists.
-class InvertedIndex : public IndexReader {
+// The per-shard store of the dual-structure incremental index (the paper's
+// primary contribution): each ApplyBatchUpdate / ApplyInvertedBatch pushes
+// one batch into the on-disk structures — short lists into hash-addressed
+// fixed-size buckets, bucket overflows promoting the longest short lists
+// into policy-managed long lists — over this store's own disk array,
+// directory and I/O trace. The document buffer, vocabulary and deletion
+// set are index-wide state and live in ShardedIndex, which composes N of
+// these stores (one is the degenerate case) and is the IndexReader
+// queries run against.
+class InvertedIndex {
  public:
   explicit InvertedIndex(const IndexOptions& options);
 
@@ -100,49 +99,26 @@ class InvertedIndex : public IndexReader {
   // Applies one inverted batch with real doc ids (requires materialize).
   Status ApplyInvertedBatch(const text::InvertedBatch& batch);
 
-  // Buffers a raw document into the in-memory index; FlushDocuments()
-  // pushes the accumulated batch to disk. Returns this document's id.
-  // Buffered documents are immediately searchable: GetPostings merges the
-  // in-memory batch with the on-disk structures, the paper's "searched
-  // simultaneously with the larger index".
-  DocId AddDocument(const std::string& text);
-  Status FlushDocuments();
-  size_t buffered_documents() const {
-    return memory_index_.document_count();
-  }
-  const MemoryIndex& memory_index() const { return memory_index_; }
+  // --- List access (for ShardedIndex, scrub and compaction) --------------
 
-  // --- Query access (the IndexReader surface) ----------------------------
-
-  // Where a word's list lives — input to the query cost model.
+  // Where a word's on-disk list lives — input to the query cost model.
   using ListLocation = duplex::core::ListLocation;
-  ListLocation Locate(WordId word) const override;
-  ListLocation Locate(std::string_view word) const override;
+  ListLocation Locate(WordId word) const;
 
-  // Returns the word's full posting list (bucket or long list), with
-  // deleted documents filtered out. Requires materialize. NotFound when
-  // the word has no list.
-  Result<std::vector<DocId>> GetPostings(WordId word) const override;
-  Result<std::vector<DocId>> GetPostings(
-      std::string_view word) const override;
+  // Returns the word's full on-disk posting list (bucket or long list).
+  // Requires materialize. NotFound when the word has no list. Deletions
+  // are not filtered here: the deletion set is index-wide state.
+  Result<std::vector<DocId>> GetPostings(WordId word) const;
 
-  // Every word with a list anywhere in the index — long lists, buckets,
-  // and the unflushed in-memory batch — each exactly once.
-  void ForEachWord(const std::function<void(WordId)>& fn) const override;
+  // Every word with a list in this store — long lists and buckets — each
+  // exactly once.
+  void ForEachWord(const std::function<void(WordId)>& fn) const;
 
   // --- Deletion (paper Section 3 end) -------------------------------------
 
-  // Marks a document deleted; queries filter it immediately.
-  void DeleteDocument(DocId doc) { deleted_.insert(doc); }
-  bool IsDeleted(DocId doc) const { return deleted_.contains(doc); }
-  size_t deleted_count() const { return deleted_.size(); }
-  std::vector<DocId> deleted_docs() const {
-    return {deleted_.begin(), deleted_.end()};
-  }
-
-  // Background sweep: rewrites every list dropping deleted documents, then
-  // clears the deleted set. Requires materialize.
-  Status SweepDeletions();
+  // Background sweep: rewrites every list dropping the documents in
+  // `deleted`. Requires materialize.
+  Status SweepDeletions(const std::unordered_set<DocId>& deleted);
 
   // --- Repair (used by core::Scrub) ----------------------------------------
 
@@ -192,8 +168,10 @@ class InvertedIndex : public IndexReader {
   // recorded.
   Status RestoreWord(WordId word, const PostingList& list, bool was_long);
 
-  // Reinstates document-id state after all RestoreWord calls.
-  void RestoreDocState(DocId next_doc_id, std::vector<DocId> deleted);
+  // Reinstates the store's doc-id horizon after all RestoreWord calls.
+  void RestoreNextDocId(DocId next_doc_id) {
+    next_doc_id_ = std::max(next_doc_id_, next_doc_id);
+  }
 
   // --- Buffer pool ---------------------------------------------------------
 
@@ -224,9 +202,8 @@ class InvertedIndex : public IndexReader {
   // Mutable array access for fault/scrub integration (fault schedules,
   // checksum verification below the cache).
   storage::DiskArray& disks() { return *disks_; }
-  text::Vocabulary& vocabulary() { return vocabulary_; }
-  const text::Vocabulary& vocabulary() const { return vocabulary_; }
-  DocId next_doc_id() const override { return next_doc_id_; }
+  // One past the largest doc id this store's batches carried.
+  DocId next_doc_id() const { return next_doc_id_; }
 
  private:
   // Per-batch accumulator for the routing counters. RouteList runs once
@@ -263,14 +240,10 @@ class InvertedIndex : public IndexReader {
   std::unique_ptr<LongListStore> long_lists_;
   std::unique_ptr<Compactor> compactor_;
   CompactionStats compaction_totals_;
-  text::Vocabulary vocabulary_;
-  text::Tokenizer tokenizer_;
-  MemoryIndex memory_index_{&tokenizer_, &vocabulary_};
   DocId next_doc_id_ = 0;
   uint64_t updates_applied_ = 0;
   uint64_t total_postings_ = 0;
   std::vector<UpdateCategories> categories_;
-  std::unordered_set<DocId> deleted_;
   std::vector<storage::BlockRange> prev_bucket_ranges_;
   std::vector<storage::BlockRange> prev_directory_ranges_;
 

@@ -73,6 +73,15 @@ class LongListStore {
     uint64_t read_ops = 0;
     uint64_t write_ops = 0;
     uint64_t postings_moved = 0;  // rewritten by whole-style moves
+
+    void Merge(const Counters& other) {
+      appends_to_existing += other.appends_to_existing;
+      in_place_updates += other.in_place_updates;
+      lists_created += other.lists_created;
+      read_ops += other.read_ops;
+      write_ops += other.write_ops;
+      postings_moved += other.postings_moved;
+    }
   };
 
   // `disks` must outlive the store. `trace` may be null (no trace

@@ -15,7 +15,7 @@ namespace duplex::core {
 // The in-memory inverted index over documents that have arrived but not
 // yet been flushed to disk. The paper's introduction requires exactly
 // this: updates are batched, and "to maintain access to the batch, it can
-// be searched simultaneously with the larger index". InvertedIndex merges
+// be searched simultaneously with the larger index". ShardedIndex merges
 // these postings into query results until FlushDocuments() drains them.
 //
 // MemoryIndex is also a full IndexReader: standing alone it is the delta

@@ -10,7 +10,7 @@ namespace duplex::core {
 // Overlays N readers into one IndexReader view with doc-id dedup — the
 // read-side shape of a delta + disk index pair: queries see the union of
 // an in-memory MemoryIndex (documents that just arrived) and the on-disk
-// InvertedIndex/ShardedIndex (everything flushed), without either side
+// ShardedIndex (everything flushed), without either side
 // knowing about the other. Works over any reader combination; a doc id
 // reported by several readers appears once.
 //

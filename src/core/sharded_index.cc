@@ -132,6 +132,7 @@ Status ShardedIndex::ApplyInvertedBatch(const text::InvertedBatch& batch) {
   DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
   std::unique_lock lock(doc_mutex_);
   next_doc_id_ = std::max(next_doc_id_, end_doc);
+  shard_doc_end_ = std::max(shard_doc_end_, end_doc);
   return Status::OK();
 }
 
@@ -152,6 +153,7 @@ Result<uint64_t> ShardedIndex::ApplyLoggedLocked(
   DocId end_doc = 0;
   DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
   next_doc_id_ = std::max(next_doc_id_, end_doc);
+  shard_doc_end_ = std::max(shard_doc_end_, end_doc);
   *applied = true;
   DUPLEX_RETURN_IF_ERROR(FlushCaches());
   DUPLEX_RETURN_IF_ERROR(log->MarkApplied(*id));
@@ -214,6 +216,7 @@ Status ShardedIndex::FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id) {
   if (log == nullptr) {
     DocId end_doc = 0;
     DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
+    shard_doc_end_ = std::max(shard_doc_end_, end_doc);
     hand_off();
     return Status::OK();
   }
@@ -259,8 +262,7 @@ ListLocation ShardedIndex::Locate(WordId word) const {
   std::shared_lock doc_lock(doc_mutex_);
   ListLocation loc = shards_[ShardFor(word)]->WithRead(
       [&](const InvertedIndex& index) { return index.Locate(word); });
-  // The shard's own memory index is always empty (documents buffer at the
-  // sharded level); merge our buffer exactly as InvertedIndex::Locate does.
+  // Buffered postings are visible too; they cost no disk reads.
   if (const std::vector<DocId>* buffered = memory_index_.Find(word)) {
     loc.exists = true;
     loc.postings += buffered->size();
@@ -336,16 +338,8 @@ void ShardedIndex::ForEachWord(
 }
 
 void ShardedIndex::DeleteDocument(DocId doc) {
-  {
-    std::unique_lock lock(doc_mutex_);
-    deleted_.insert(doc);
-  }
-  // The owning shard is unknown (any shard's lists may contain the doc);
-  // every shard records the deletion and filters its own reads.
-  for (auto& shard : shards_) {
-    shard->WithWrite(
-        [&](InvertedIndex& index) { index.DeleteDocument(doc); });
-  }
+  std::unique_lock lock(doc_mutex_);
+  deleted_.insert(doc);
 }
 
 bool ShardedIndex::IsDeleted(DocId doc) const {
@@ -359,12 +353,24 @@ size_t ShardedIndex::deleted_count() const {
 }
 
 Status ShardedIndex::SweepDeletions() {
+  // Sweep only documents the shards already hold. A deleted document
+  // still buffered, or in a live batch not yet drained, reaches its
+  // shards after their sweep, so its deletion must outlive this one.
+  std::unordered_set<DocId> swept;
+  {
+    std::shared_lock lock(doc_mutex_);
+    for (const DocId doc : deleted_) {
+      if (doc < shard_doc_end_) swept.insert(doc);
+    }
+  }
   DUPLEX_RETURN_IF_ERROR(ParallelOverShards([&](uint32_t s) {
     return shards_[s]->WithWrite(
-        [](InvertedIndex& index) { return index.SweepDeletions(); });
+        [&](InvertedIndex& index) { return index.SweepDeletions(swept); });
   }));
+  // "After a sweep of the index, the list of deleted document identifiers
+  // can be thrown away." Deletions recorded during the sweep stay.
   std::unique_lock lock(doc_mutex_);
-  deleted_.clear();
+  for (const DocId doc : swept) deleted_.erase(doc);
   return Status::OK();
 }
 
@@ -615,6 +621,7 @@ Status ShardedIndex::RestoreDocState(
     }
   }
   next_doc_id_ = next_doc_id;
+  shard_doc_end_ = next_doc_id;
   deleted_.clear();
   deleted_.insert(deleted.begin(), deleted.end());
   return Status::OK();

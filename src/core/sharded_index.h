@@ -17,6 +17,7 @@
 #include "core/index_shard.h"
 #include "core/index_stats.h"
 #include "core/inverted_index.h"
+#include "core/memory_index.h"
 #include "storage/io_trace.h"
 #include "text/batch.h"
 #include "text/shard_partition.h"
@@ -67,19 +68,23 @@ inline constexpr uint32_t kServingShards = 4;
 // the other's geometry check.
 IndexOptions ServingIndexOptions();
 
-// The word-partitioned dual-structure index: N independent IndexShards
-// (each a full InvertedIndex — bucket store, long-list store, directory,
-// disk array, I/O trace — behind its own reader-writer lock) with the
-// word space hash-partitioned across them by text::ShardForWord.
+// The dual-structure index: N independent IndexShards (each an
+// InvertedIndex store — bucket store, long-list store, directory, disk
+// array, I/O trace — behind its own reader-writer lock) with the word
+// space hash-partitioned across them by text::ShardForWord; one shard is
+// the degenerate case. It is the only owner of the index-wide state —
+// the document buffer, the vocabulary and the deletion set — and the
+// IndexReader queries run against.
 //
 // Concurrency model: a batch update is split into per-shard sub-batches
 // and applied under per-shard exclusive locks, in parallel on a fixed
 // worker pool; queries take only the owning shard's shared lock, so a
 // batch applying on shard 2 never blocks a query whose words live on
 // shard 0 — the paper's 24x7 motivation carried past a single global
-// lock. Document buffering (AddDocument) and the shared vocabulary sit
-// above the shards behind a separate reader-writer lock, acquired before
-// any shard lock (fixed order, no deadlock).
+// lock. Document buffering (AddDocument), the vocabulary and the deletion
+// set sit above the shards behind a separate reader-writer lock, acquired
+// before any shard lock (fixed order, no deadlock); a DeleteDocument
+// takes only that lock, so it never waits for a batch apply.
 //
 // Determinism: shard assignment depends only on (word, num_shards), each
 // shard's trace is recorded by exactly one worker per batch, and
@@ -117,10 +122,11 @@ class ShardedIndex : public IndexReader {
 
   // --- Document path ------------------------------------------------------
 
-  // Buffers a document in the index-wide memory index (shared vocabulary);
-  // buffered documents are immediately searchable, exactly as in
-  // InvertedIndex. FlushDocuments inverts the buffer once, partitions by
-  // word, and applies per shard in parallel.
+  // Buffers a document in the index-wide memory index. Buffered documents
+  // are immediately searchable: queries merge the buffer with the shards,
+  // the paper's "searched simultaneously with the larger index".
+  // FlushDocuments inverts the buffer once, partitions by word, and
+  // applies per shard in parallel.
   DocId AddDocument(const std::string& text);
   Status FlushDocuments();
   // FlushDocuments under the WAL commit protocol (ApplyLogged): the
@@ -190,11 +196,17 @@ class ShardedIndex : public IndexReader {
   // buffered words need a containment check).
   void ForEachWord(const std::function<void(WordId)>& fn) const override;
 
-  // --- Deletion ------------------------------------------------------------
+  // --- Deletion (paper Section 3 end) --------------------------------------
 
+  // Marks a document deleted; queries filter it immediately.
   void DeleteDocument(DocId doc);
   bool IsDeleted(DocId doc) const;
   size_t deleted_count() const;
+  // Background sweep: every shard rewrites its lists without the deleted
+  // documents it holds, which then leave the deletion set. Requires
+  // materialize. Batches must reach the shards in doc-id order (every
+  // ingest path does), so a deleted document not yet on the shards stays
+  // in the set for a later sweep.
   Status SweepDeletions();
 
   // --- Maintenance ---------------------------------------------------------
@@ -337,6 +349,9 @@ class ShardedIndex : public IndexReader {
   text::Tokenizer tokenizer_;
   MemoryIndex memory_index_{&tokenizer_, &vocabulary_};
   DocId next_doc_id_ = 0;
+  // One past the largest doc id the shards hold (documents buffered or in
+  // an undrained live batch lie at or above it).
+  DocId shard_doc_end_ = 0;
   std::unordered_set<DocId> deleted_;
 };
 

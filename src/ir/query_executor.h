@@ -38,8 +38,8 @@ struct CostAccumulator {
 };
 
 // The one place queries are parsed, planned, and evaluated. An executor
-// wraps any core::IndexReader — InvertedIndex, ShardedIndex, MemoryIndex,
-// or a MergingReader overlay — and is the only query entry point in ir/.
+// wraps any core::IndexReader — ShardedIndex, MemoryIndex, or a
+// MergingReader overlay — and is the only query entry point in ir/.
 // The executor borrows the reader (no ownership); it is cheap to
 // construct per query or keep around.
 //

@@ -23,8 +23,8 @@ namespace duplex::ir {
 class QueryWorkloadGenerator {
  public:
   // Snapshots the reader's current word -> posting-count distribution.
-  // Works over any core::IndexReader — InvertedIndex, ShardedIndex, a
-  // MergingReader overlay — via ForEachWord + Locate; the word walk is
+  // Works over any core::IndexReader — ShardedIndex, a MergingReader
+  // overlay — via ForEachWord + Locate; the word walk is
   // sorted, so the sampled sequences are deterministic for a given seed
   // regardless of the backend's internal iteration order.
   QueryWorkloadGenerator(const core::IndexReader& index, uint64_t seed);

@@ -294,10 +294,6 @@ void Server::Execute(WorkItem item) {
       ScopedLatency timer(m_request_ns_[opcode < m_request_ns_.size()
                                             ? opcode
                                             : 0]);
-      // The test delay models a slow handler, so it counts as execution.
-      if (options_.test_handler_delay.count() > 0) {
-        std::this_thread::sleep_for(options_.test_handler_delay);
-      }
       payload = service_->HandleRequest(opcode, item.payload, &cost);
     }
     const uint64_t execute_ns = MonotonicNanos() - execute_start_ns;

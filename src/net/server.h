@@ -40,9 +40,6 @@ struct ServerOptions {
   // under overload the server sheds stale work rather than serving
   // already-abandoned requests. Zero disables the check.
   std::chrono::milliseconds request_deadline{1000};
-  // Test hook: every request handler sleeps this long before executing,
-  // so saturation tests can force BUSY/deadline paths deterministically.
-  std::chrono::milliseconds test_handler_delay{0};
   // Requests whose queue_wait + execute + respond exceeds this threshold
   // are recorded in the slow-query ring (served by /slowz). Zero
   // disables slow-query capture entirely.

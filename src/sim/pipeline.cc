@@ -133,14 +133,16 @@ BatchStream GenerateBatches(const text::CorpusOptions& corpus) {
 
 PolicyRunResult RunPolicy(const SimConfig& config,
                           const std::vector<text::BatchUpdate>& batches,
-                          const core::Policy& policy) {
+                          const core::Policy& policy, uint32_t num_shards,
+                          uint32_t threads) {
   Stopwatch watch;
   PolicyRunResult result;
   result.policy = policy;
   // Before the index: instrumented components cache metric handles at
   // construction, and the scope's exporter runs after `index` dies.
   ObservabilityScope observability(config.observability_dir);
-  core::InvertedIndex index(config.ToIndexOptions(policy));
+  core::ShardedIndex index(core::ShardedIndexOptions::Partition(
+      config.ToIndexOptions(policy), num_shards, threads));
   uint64_t update = 0;
   for (const text::BatchUpdate& batch : batches) {
     DUPLEX_CHECK_OK(index.ApplyBatchUpdate(batch));
@@ -152,37 +154,15 @@ PolicyRunResult RunPolicy(const SimConfig& config,
     RunQueryProbe(config, index, update++, &result.probe_read_ops,
                   &result.probe_cached_fraction);
   }
-  result.categories = index.update_categories();
-  result.final_stats = index.Stats();
-  result.counters = index.long_list_store().counters();
-  result.compaction = index.compaction_totals();
-  result.trace = index.trace();
-  result.harness_seconds = watch.ElapsedSeconds();
-  return result;
-}
-
-ShardedRunResult RunPolicySharded(const SimConfig& config,
-                                  const std::vector<text::BatchUpdate>&
-                                      batches,
-                                  const core::Policy& policy,
-                                  uint32_t num_shards, uint32_t threads) {
-  Stopwatch watch;
-  ShardedRunResult result;
-  result.policy = policy;
-  result.num_shards = num_shards;
-  ObservabilityScope observability(config.observability_dir);
-  core::ShardedIndex index(core::ShardedIndexOptions::Partition(
-      config.ToIndexOptions(policy), num_shards, threads));
-  uint64_t update = 0;
-  for (const text::BatchUpdate& batch : batches) {
-    DUPLEX_CHECK_OK(index.ApplyBatchUpdate(batch));
-    result.cumulative_io_ops.push_back(index.Stats().io_ops);
-    RunQueryProbe(config, index, update++, &result.probe_read_ops,
-                  &result.probe_cached_fraction);
-  }
+  result.categories = index.MergedCategories();
   result.shard_stats = index.ShardStats();
   result.final_stats = core::MergeStats(result.shard_stats);
-  result.categories = index.MergedCategories();
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    index.shard(s).WithRead([&](const core::InvertedIndex& shard) {
+      result.counters.Merge(shard.long_list_store().counters());
+    });
+  }
+  result.compaction = index.compaction_totals();
   result.trace = index.MergedTrace();
   result.harness_seconds = watch.ElapsedSeconds();
   return result;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/inverted_index.h"
 #include "core/long_list_store.h"
 #include "core/policy.h"
 #include "core/sharded_index.h"
@@ -53,8 +52,8 @@ struct SimConfig {
   // trace update so cumulative_io_ops charges it to the triggering batch).
   core::CompactionOptions compaction;
 
-  // When non-empty, each RunPolicy/RunPolicySharded call installs a fresh
-  // per-run MetricsRegistry + Tracer (sim::ObservabilityScope) and writes
+  // When non-empty, each RunPolicy call installs a fresh per-run
+  // MetricsRegistry + Tracer (sim::ObservabilityScope) and writes
   // metrics.prom, metrics.json, and trace.json into this directory before
   // returning. Empty (the default) records nothing and costs nothing.
   std::string observability_dir;
@@ -107,7 +106,7 @@ BatchStream GenerateBatches(const text::CorpusOptions& corpus);
 
 // Result of pushing one batch stream through the index under one policy
 // (the compute-buckets + compute-disks stages fused, since our index
-// performs both).
+// performs both). With several shards every number is merged across them.
 struct PolicyRunResult {
   core::Policy policy;
   // Series indexed by update ("index after update").
@@ -116,11 +115,14 @@ struct PolicyRunResult {
   std::vector<double> avg_reads_per_list;    // Figure 10
   std::vector<uint64_t> long_words;
   std::vector<core::UpdateCategories> categories;  // Figure 7
-  core::IndexStats final_stats;
+  core::IndexStats final_stats;             // MergeStats over the shards
+  std::vector<core::IndexStats> shard_stats;
   core::LongListStore::Counters counters;
   // Accumulated compaction totals (all zero when compaction is off).
   core::CompactionStats compaction;
-  storage::IoTrace trace;  // replayable by TraceExecutor (Figures 13/14)
+  // Replayable by TraceExecutor (Figures 13/14); the deterministic merged
+  // trace (global disk ids) when sharded.
+  storage::IoTrace trace;
   double harness_seconds = 0.0;
   // Query-cost probe series, one entry per update (empty when
   // SimConfig::query_probe_queries == 0): mean read ops per sampled query
@@ -129,40 +131,15 @@ struct PolicyRunResult {
   std::vector<double> probe_cached_fraction;
 };
 
-// Runs one policy over a pre-generated batch stream.
+// Runs one policy over a pre-generated batch stream through a
+// core::ShardedIndex of `num_shards` shards. The total bucket space of
+// `config` is divided across the shards (ShardedIndexOptions::Partition);
+// `threads` == 0 uses one worker per shard. One shard is the paper's
+// single index: its series and trace are those of one InvertedIndex.
 PolicyRunResult RunPolicy(const SimConfig& config,
                           const std::vector<text::BatchUpdate>& batches,
-                          const core::Policy& policy);
-
-// Result of the sharded pipeline mode: the same batch stream pushed
-// through a word-partitioned core::ShardedIndex with parallel per-shard
-// batch apply.
-struct ShardedRunResult {
-  core::Policy policy;
-  uint32_t num_shards = 1;
-  std::vector<uint64_t> cumulative_io_ops;  // merged across shards
-  core::IndexStats final_stats;             // MergeStats over shards
-  std::vector<core::IndexStats> shard_stats;
-  std::vector<core::UpdateCategories> categories;  // summed across shards
-  storage::IoTrace trace;  // deterministic merged trace (global disk ids)
-  double harness_seconds = 0.0;
-  // Query-cost probe series, as in PolicyRunResult (the same generator
-  // runs over the ShardedIndex's reader interface, so single-shard probe
-  // numbers match RunPolicy exactly).
-  std::vector<double> probe_read_ops;
-  std::vector<double> probe_cached_fraction;
-};
-
-// Runs one policy over the stream through `num_shards` shards. The total
-// bucket space of `config` is divided across the shards
-// (ShardedIndexOptions::Partition); `threads` == 0 uses one worker per
-// shard. num_shards == 1 matches RunPolicy's series and trace exactly.
-ShardedRunResult RunPolicySharded(const SimConfig& config,
-                                  const std::vector<text::BatchUpdate>&
-                                      batches,
-                                  const core::Policy& policy,
-                                  uint32_t num_shards,
-                                  uint32_t threads = 0);
+                          const core::Policy& policy,
+                          uint32_t num_shards = 1, uint32_t threads = 0);
 
 // Replays a run's trace through the disk model (the exercise-disks stage).
 storage::ExecutionResult ExerciseDisks(

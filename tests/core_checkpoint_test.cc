@@ -289,6 +289,50 @@ TEST_F(CheckpointTest, UnappliedBatchBlocksCheckpoint) {
   EXPECT_TRUE(info.status().IsFailedPrecondition()) << info.status();
 }
 
+// A checkpoint truncates the WAL to a lone truncation record. A bit flip
+// in it is dropped as a torn final record, so the log reopens at next id
+// 0 under an epoch-3 checkpoint; it would hand out ids the checkpoint
+// covers, which the next restart then skips. Recovery must refuse typed.
+TEST_F(CheckpointTest, WalThatReopensBehindTheCheckpointIsTypedCorruption) {
+  std::unique_ptr<BatchLog> log = OpenLog();
+  ShardedIndex index(ShardedOptions());
+  for (const auto& batch : MakeBatches(3, 53)) {
+    ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
+  }
+  Checkpointer checkpointer = MakeCheckpointer();
+  ASSERT_TRUE(checkpointer.Checkpoint(index, log.get()).ok());
+  ASSERT_EQ(log->base_epoch(), 3u);
+  ASSERT_EQ(log->batches_logged(), 0u);
+  log.reset();
+  CorruptFile(wal_path_);
+
+  std::unique_ptr<BatchLog> reopened = OpenLog();
+  ASSERT_EQ(reopened->base_epoch(), 0u);
+  ASSERT_EQ(reopened->next_id(), 0u);
+  ShardedIndex recovered(ShardedOptions());
+  Result<RecoveryInfo> rec = checkpointer.Recover(&recovered, reopened.get());
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+}
+
+// A fresh, empty WAL beside an epoch-3 checkpoint is the same hazard.
+TEST_F(CheckpointTest, FreshWalBesideACheckpointIsTypedCorruption) {
+  {
+    std::unique_ptr<BatchLog> log = OpenLog();
+    ShardedIndex index(ShardedOptions());
+    for (const auto& batch : MakeBatches(3, 59)) {
+      ASSERT_TRUE(index.ApplyLogged(log.get(), batch, {}).ok());
+    }
+    ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log.get()).ok());
+  }
+  ASSERT_TRUE(fs::remove(wal_path_));
+
+  std::unique_ptr<BatchLog> fresh = OpenLog();
+  ShardedIndex recovered(ShardedOptions());
+  Result<RecoveryInfo> rec =
+      MakeCheckpointer().Recover(&recovered, fresh.get());
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+}
+
 TEST_F(CheckpointTest, NoCheckpointEmptyLogIsEmpty) {
   Checkpointer checkpointer = MakeCheckpointer();
   ShardedIndex recovered(ShardedOptions());
@@ -600,6 +644,158 @@ TEST_F(CheckpointTest, ShardedRejectedInstallWithoutWalIsTypedCorruption) {
   std::unique_ptr<BatchLog> log = OpenLog();
   rec = checkpointer.Recover(&with_empty_log, log.get());
   EXPECT_TRUE(rec.status().IsCorruption()) << rec.status();
+}
+
+// A checkpoint written by the previous release, whose shards still each
+// kept a copy of the deletion set: a 2-shard index of 12 documents in 3
+// logged flushes, docs 2 and 7 deleted, then a checkpoint at epoch 3 that
+// truncated the WAL to a lone truncation record.
+constexpr unsigned char kGoldenManifest[] = {
+    0x44, 0x50, 0x58, 0x4d, 0x41, 0x4e, 0x49, 0x31, 0x01, 0x01, 0x03, 0x02,
+    0x11, 0x69, 0x64, 0x78, 0x2e, 0x63, 0x6b, 0x70, 0x74, 0x2d, 0x31, 0x2d,
+    0x73, 0x68, 0x61, 0x72, 0x64, 0x30, 0x6b, 0x73, 0x75, 0xac, 0x57, 0x92,
+    0x0e, 0x85, 0xfb, 0x11, 0x69, 0x64, 0x78, 0x2e, 0x63, 0x6b, 0x70, 0x74,
+    0x2d, 0x31, 0x2d, 0x73, 0x68, 0x61, 0x72, 0x64, 0x31, 0x65, 0xb0, 0x4a,
+    0x0d, 0xdb, 0xb0, 0x0c, 0x38, 0x28, 0x21, 0x04, 0x67, 0x72, 0x6f, 0x77,
+    0x02, 0x69, 0x6e, 0x08, 0x69, 0x6e, 0x76, 0x65, 0x72, 0x74, 0x65, 0x64,
+    0x05, 0x6c, 0x69, 0x73, 0x74, 0x73, 0x05, 0x70, 0x6c, 0x61, 0x63, 0x65,
+    0x07, 0x62, 0x75, 0x63, 0x6b, 0x65, 0x74, 0x73, 0x04, 0x68, 0x6f, 0x6c,
+    0x64, 0x05, 0x73, 0x68, 0x6f, 0x72, 0x74, 0x06, 0x63, 0x68, 0x75, 0x6e,
+    0x6b, 0x73, 0x04, 0x6c, 0x69, 0x76, 0x65, 0x04, 0x6c, 0x6f, 0x6e, 0x67,
+    0x04, 0x66, 0x69, 0x6c, 0x6c, 0x04, 0x6d, 0x6f, 0x76, 0x65, 0x04, 0x77,
+    0x68, 0x65, 0x6e, 0x07, 0x62, 0x61, 0x74, 0x63, 0x68, 0x65, 0x73, 0x05,
+    0x64, 0x61, 0x69, 0x6c, 0x79, 0x05, 0x70, 0x61, 0x70, 0x65, 0x72, 0x03,
+    0x74, 0x68, 0x65, 0x07, 0x75, 0x70, 0x64, 0x61, 0x74, 0x65, 0x73, 0x05,
+    0x73, 0x68, 0x61, 0x72, 0x65, 0x03, 0x67, 0x65, 0x74, 0x08, 0x72, 0x65,
+    0x73, 0x65, 0x72, 0x76, 0x65, 0x64, 0x05, 0x73, 0x70, 0x61, 0x63, 0x65,
+    0x01, 0x61, 0x07, 0x64, 0x65, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x09, 0x64,
+    0x6f, 0x63, 0x75, 0x6d, 0x65, 0x6e, 0x74, 0x73, 0x03, 0x66, 0x6f, 0x72,
+    0x05, 0x73, 0x77, 0x65, 0x65, 0x70, 0x04, 0x77, 0x61, 0x69, 0x74, 0x06,
+    0x61, 0x72, 0x72, 0x69, 0x76, 0x65, 0x07, 0x71, 0x75, 0x65, 0x72, 0x69,
+    0x65, 0x73, 0x04, 0x72, 0x65, 0x61, 0x64, 0x08, 0x72, 0x65, 0x77, 0x72,
+    0x69, 0x74, 0x65, 0x73, 0x0c, 0x02, 0x02, 0x05, 0x6a, 0xd7, 0xb2, 0x34,
+    0x53, 0x68, 0xdc, 0xc9,
+};
+constexpr unsigned char kGoldenShard0[] = {
+    0x44, 0x50, 0x58, 0x43, 0x4b, 0x50, 0x54, 0x31, 0x01, 0x01, 0x03, 0x02,
+    0x80, 0x08, 0x80, 0x01, 0x02, 0x06, 0x0d, 0x01, 0x03, 0x00, 0x02, 0x07,
+    0x03, 0x09, 0x00, 0x01, 0x01, 0x01, 0x02, 0x01, 0x02, 0x02, 0x01, 0x05,
+    0x02, 0x01, 0x04, 0x07, 0x02, 0x01, 0x04, 0x09, 0x01, 0x02, 0x0b, 0x01,
+    0x03, 0x0d, 0x01, 0x03, 0x0f, 0x01, 0x04, 0x11, 0x01, 0x04, 0x13, 0x01,
+    0x05, 0x15, 0x01, 0x06, 0x17, 0x02, 0x07, 0x04, 0x1b, 0x02, 0x07, 0x04,
+    0x03, 0x19, 0x01, 0x07, 0x1d, 0x01, 0x09, 0x1f, 0x01, 0x0a, 0x00, 0x0c,
+    0x02, 0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x96, 0x2f, 0x30, 0x1f, 0x86, 0xc7, 0x9b, 0x55,
+};
+constexpr unsigned char kGoldenShard1[] = {
+    0x44, 0x50, 0x58, 0x43, 0x4b, 0x50, 0x54, 0x31, 0x01, 0x01, 0x03, 0x02,
+    0x80, 0x08, 0x80, 0x01, 0x02, 0x06, 0x0e, 0x00, 0x01, 0x00, 0x02, 0x01,
+    0x00, 0x04, 0x01, 0x00, 0x06, 0x01, 0x01, 0x08, 0x02, 0x02, 0x01, 0x0a,
+    0x03, 0x02, 0x04, 0x04, 0x0c, 0x01, 0x03, 0x0e, 0x02, 0x04, 0x05, 0x10,
+    0x01, 0x04, 0x12, 0x02, 0x04, 0x05, 0x14, 0x01, 0x06, 0x16, 0x01, 0x06,
+    0x18, 0x01, 0x07, 0x1a, 0x01, 0x07, 0x03, 0x1c, 0x01, 0x07, 0x1e, 0x01,
+    0x0a, 0x20, 0x01, 0x0b, 0x00, 0x0c, 0x02, 0x02, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f, 0xba, 0x26,
+    0x51, 0x9a, 0x6b, 0x7b, 0x89,
+};
+constexpr unsigned char kGoldenWal[] = {
+    0x45, 0x01, 0x03, 0x79, 0xcf, 0x95, 0xb5, 0x07, 0x0d, 0xfb, 0x08,
+};
+
+std::string Bytes(const unsigned char* data, size_t size) {
+  return std::string(reinterpret_cast<const char*>(data), size);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+ShardedIndexOptions GoldenOptions() {
+  IndexOptions options;
+  options.buckets.num_buckets = 4;
+  options.buckets.bucket_capacity = 6;
+  options.policy = Policy::NewZ();
+  options.block_postings = 4;
+  options.disks.num_disks = 2;
+  options.disks.blocks_per_disk = 1 << 10;
+  options.disks.block_size_bytes = 128;
+  options.materialize = true;
+  return ShardedIndexOptions::Partition(options, 2, 1);
+}
+
+// The checkpoint files keep their format: the golden manifest, shard
+// images and WAL restore, and checkpointing the restored index writes the
+// same bytes again.
+TEST_F(CheckpointTest, GoldenImagesRestoreAndReencodeByteIdentical) {
+  const std::string manifest =
+      Bytes(kGoldenManifest, sizeof(kGoldenManifest));
+  const std::string shard0 = Bytes(kGoldenShard0, sizeof(kGoldenShard0));
+  const std::string shard1 = Bytes(kGoldenShard1, sizeof(kGoldenShard1));
+  const std::string wal = Bytes(kGoldenWal, sizeof(kGoldenWal));
+  WriteBytes(prefix_ + ".ckpt-1", manifest);
+  WriteBytes(prefix_ + ".ckpt-1-shard0", shard0);
+  WriteBytes(prefix_ + ".ckpt-1-shard1", shard1);
+  WriteBytes(wal_path_, wal);
+  {
+    Result<std::unique_ptr<storage::Superblock>> sb =
+        storage::Superblock::Open(prefix_ + ".super");
+    ASSERT_TRUE(sb.ok()) << sb.status();
+    storage::SuperblockRecord record;
+    record.wal_epoch = 3;
+    record.payload_bytes = manifest.size();
+    record.payload_checksum = Fnv1a64(manifest.data(), manifest.size());
+    record.payload_path = "idx.ckpt-1";
+    ASSERT_TRUE((*sb)->Install(record).ok());
+  }
+
+  ShardedIndex recovered(GoldenOptions());
+  {
+    std::unique_ptr<BatchLog> log = OpenLog();
+    Result<RecoveryInfo> rec =
+        MakeCheckpointer().Recover(&recovered, log.get());
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    EXPECT_EQ(rec->mode, RecoveryMode::kCheckpointTail);
+    EXPECT_EQ(rec->checkpoint_epoch, 3u);
+    EXPECT_EQ(rec->batches_replayed, 0u);
+  }
+  EXPECT_TRUE(recovered.VerifyIntegrity().ok());
+  EXPECT_EQ(recovered.next_doc_id(), 12u);
+  EXPECT_EQ(recovered.deleted_count(), 2u);
+  EXPECT_TRUE(recovered.IsDeleted(2));
+  EXPECT_TRUE(recovered.IsDeleted(7));
+  Result<std::vector<DocId>> lists = recovered.GetPostings("lists");
+  ASSERT_TRUE(lists.ok()) << lists.status();
+  EXPECT_EQ(*lists, (std::vector<DocId>{0, 1, 3, 5, 6, 8, 10, 11}));
+  Result<std::vector<DocId>> sweep = recovered.GetPostings("sweep");
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  EXPECT_EQ(*sweep, (std::vector<DocId>{11}));
+
+  const std::string again = dir_ + "/again";
+  fs::create_directories(again);
+  WriteBytes(again + "/idx.wal", wal);
+  {
+    Result<std::unique_ptr<BatchLog>> log =
+        BatchLog::Open(again + "/idx.wal");
+    ASSERT_TRUE(log.ok()) << log.status();
+    (*log)->set_fsync(false);
+    CheckpointOptions options;
+    options.prefix = again + "/idx";
+    Result<CheckpointInfo> info =
+        Checkpointer(options).Checkpoint(recovered, log->get());
+    ASSERT_TRUE(info.ok()) << info.status();
+    EXPECT_EQ(info->wal_epoch, 3u);
+  }
+  EXPECT_EQ(ReadBytes(again + "/idx.ckpt-1"), manifest);
+  EXPECT_EQ(ReadBytes(again + "/idx.ckpt-1-shard0"), shard0);
+  EXPECT_EQ(ReadBytes(again + "/idx.ckpt-1-shard1"), shard1);
+  EXPECT_EQ(ReadBytes(again + "/idx.wal"), wal);
 }
 
 // TSan target: checkpoints run against a quiesced view while reader

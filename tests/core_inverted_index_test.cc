@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sharded_index.h"
+
 namespace duplex::core {
 namespace {
 
@@ -17,6 +19,12 @@ IndexOptions SmallOptions(const Policy& policy, bool materialize = false) {
   o.disks.block_size_bytes = 80;
   o.materialize = materialize;
   return o;
+}
+
+// The document path (buffer, vocabulary, deletion set) is index-wide
+// state: it runs through a one-shard ShardedIndex over the same store.
+ShardedIndexOptions OneShard(const IndexOptions& store) {
+  return ShardedIndexOptions::Partition(store, 1);
 }
 
 text::BatchUpdate Batch(std::vector<text::WordCount> pairs) {
@@ -142,7 +150,7 @@ TEST(InvertedIndexTest, MaterializedPostingsFromBucketAndLongList) {
 }
 
 TEST(InvertedIndexTest, AddDocumentFlow) {
-  InvertedIndex index(SmallOptions(Policy::NewZ(), true));
+  ShardedIndex index(OneShard(SmallOptions(Policy::NewZ(), true)));
   EXPECT_EQ(index.AddDocument("the cat sat"), 0u);
   EXPECT_EQ(index.AddDocument("the dog"), 1u);
   EXPECT_EQ(index.buffered_documents(), 2u);
@@ -160,13 +168,13 @@ TEST(InvertedIndexTest, AddDocumentFlow) {
 }
 
 TEST(InvertedIndexTest, FlushWithNoDocumentsIsNoop) {
-  InvertedIndex index(SmallOptions(Policy::NewZ(), true));
+  ShardedIndex index(OneShard(SmallOptions(Policy::NewZ(), true)));
   ASSERT_TRUE(index.FlushDocuments().ok());
   EXPECT_EQ(index.Stats().updates_applied, 0u);
 }
 
 TEST(InvertedIndexTest, DeleteDocumentFiltersQueries) {
-  InvertedIndex index(SmallOptions(Policy::NewZ(), true));
+  ShardedIndex index(OneShard(SmallOptions(Policy::NewZ(), true)));
   index.AddDocument("apple banana");
   index.AddDocument("apple cherry");
   ASSERT_TRUE(index.FlushDocuments().ok());
@@ -178,7 +186,7 @@ TEST(InvertedIndexTest, DeleteDocumentFiltersQueries) {
 }
 
 TEST(InvertedIndexTest, SweepDeletionsRewritesLists) {
-  InvertedIndex index(SmallOptions(Policy::NewZ(), true));
+  ShardedIndex index(OneShard(SmallOptions(Policy::NewZ(), true)));
   // Build a long list for "hot" by repeating it across many documents.
   for (int batch = 0; batch < 4; ++batch) {
     for (int i = 0; i < 15; ++i) index.AddDocument("hot word" +
@@ -198,7 +206,7 @@ TEST(InvertedIndexTest, SweepDeletionsRewritesLists) {
 }
 
 TEST(InvertedIndexTest, SweepOnCountOnlyIndexFails) {
-  InvertedIndex index(SmallOptions(Policy::NewZ()));
+  ShardedIndex index(OneShard(SmallOptions(Policy::NewZ())));
   index.DeleteDocument(1);
   EXPECT_EQ(index.SweepDeletions().code(),
             StatusCode::kFailedPrecondition);

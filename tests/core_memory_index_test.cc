@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 
 namespace duplex::core {
@@ -54,8 +54,10 @@ TEST(MemoryIndexDeathTest, OutOfOrderDocsCheck) {
 }
 
 // --- Buffered-batch visibility through the full index --------------------
+// (the index-wide document buffer lives in ShardedIndex; one shard is the
+// paper's single index)
 
-IndexOptions Options() {
+ShardedIndexOptions Options() {
   IndexOptions o;
   o.buckets.num_buckets = 8;
   o.buckets.bucket_capacity = 32;
@@ -65,11 +67,11 @@ IndexOptions Options() {
   o.disks.blocks_per_disk = 1 << 16;
   o.disks.block_size_bytes = 80;
   o.materialize = true;
-  return o;
+  return ShardedIndexOptions::Partition(o, 1);
 }
 
 TEST(BufferedSearchTest, UnflushedDocumentsAreSearchable) {
-  InvertedIndex index(Options());
+  ShardedIndex index(Options());
   index.AddDocument("fresh news article");
   // No flush yet: the in-memory batch is searched with the (empty) index.
   Result<std::vector<DocId>> docs = index.GetPostings("fresh");
@@ -78,7 +80,7 @@ TEST(BufferedSearchTest, UnflushedDocumentsAreSearchable) {
 }
 
 TEST(BufferedSearchTest, MergesDiskAndMemoryPostings) {
-  InvertedIndex index(Options());
+  ShardedIndex index(Options());
   index.AddDocument("shared alpha");
   index.AddDocument("shared beta");
   ASSERT_TRUE(index.FlushDocuments().ok());
@@ -94,7 +96,7 @@ TEST(BufferedSearchTest, MergesDiskAndMemoryPostings) {
 }
 
 TEST(BufferedSearchTest, FlushPreservesResults) {
-  InvertedIndex index(Options());
+  ShardedIndex index(Options());
   index.AddDocument("stable words here");
   Result<std::vector<DocId>> before = index.GetPostings("stable");
   ASSERT_TRUE(before.ok());
@@ -106,7 +108,7 @@ TEST(BufferedSearchTest, FlushPreservesResults) {
 }
 
 TEST(BufferedSearchTest, DeletionFiltersBufferedDocs) {
-  InvertedIndex index(Options());
+  ShardedIndex index(Options());
   const DocId doc = index.AddDocument("ephemeral");
   index.DeleteDocument(doc);
   Result<std::vector<DocId>> docs = index.GetPostings("ephemeral");
@@ -115,7 +117,7 @@ TEST(BufferedSearchTest, DeletionFiltersBufferedDocs) {
 }
 
 TEST(BufferedSearchTest, WordlessDocsKeepIdsSequential) {
-  InvertedIndex index(Options());
+  ShardedIndex index(Options());
   EXPECT_EQ(index.AddDocument("first real"), 0u);
   EXPECT_EQ(index.AddDocument("..."), 1u);  // tokenless
   EXPECT_EQ(index.AddDocument("third"), 2u);

@@ -109,7 +109,7 @@ TEST_F(MergingReaderTest, NonNotFoundErrorsPropagate) {
   count_only.disks.num_disks = 1;
   count_only.disks.blocks_per_disk = 1 << 14;
   count_only.materialize = false;
-  InvertedIndex counted(count_only);
+  ShardedIndex counted(ShardedIndexOptions::Partition(count_only, 1));
   text::BatchUpdate batch;
   batch.pairs.push_back({Id("alpha"), 10});
   ASSERT_TRUE(counted.ApplyBatchUpdate(batch).ok());

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/inverted_index.h"
 #include "storage/buffer_pool.h"
@@ -218,7 +221,7 @@ TEST(ShardedIndexTest, BooleanAndVectorQueriesFanOut) {
 
 TEST(ShardedIndexTest, QueriesMatchUnshardedEvaluator) {
   ShardedIndex sharded(ShardedOptions(4, true));
-  InvertedIndex unsharded(SmallOptions(true));
+  ShardedIndex unsharded(ShardedOptions(1, true));
   const std::vector<std::string> docs = {
       "the quick brown fox", "the lazy dog",  "quick dog",
       "brown dog fox",       "the quick dog", "lazy fox"};
@@ -256,6 +259,31 @@ TEST(ShardedIndexTest, DeletionFiltersAndSweeps) {
   EXPECT_EQ(index.deleted_count(), 0u);
   EXPECT_EQ(index.GetPostings("y").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(index.VerifyIntegrity().ok());
+}
+
+// A document deleted while still buffered reaches its shards only at the
+// flush, after a sweep already ran over them: its deletion must outlive
+// that sweep, or the flush would bring it back.
+TEST(ShardedIndexTest, BufferedDeletionOutlivesASweep) {
+  ShardedIndex index(ShardedOptions(4, true));
+  index.AddDocument("x y");
+  ASSERT_TRUE(index.FlushDocuments().ok());
+  const DocId buffered = index.AddDocument("x z");
+  index.DeleteDocument(0);
+  index.DeleteDocument(buffered);
+  ASSERT_TRUE(index.SweepDeletions().ok());
+  EXPECT_FALSE(index.IsDeleted(0));
+  EXPECT_TRUE(index.IsDeleted(buffered));
+  ASSERT_TRUE(index.FlushDocuments().ok());
+  for (const char* word : {"x", "z"}) {
+    Result<std::vector<DocId>> docs = index.GetPostings(word);
+    ASSERT_TRUE(docs.ok()) << word;
+    EXPECT_TRUE(docs->empty()) << word;
+  }
+  ASSERT_TRUE(index.SweepDeletions().ok());
+  EXPECT_EQ(index.deleted_count(), 0u);
+  EXPECT_EQ(index.GetPostings("x").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.GetPostings("z").status().code(), StatusCode::kNotFound);
 }
 
 TEST(ShardedIndexTest, CountOnlyBatchPathAndMergedCategories) {
@@ -386,6 +414,122 @@ TEST(ShardedIndexStressTest, ConcurrentReadersDuringParallelBatchApply) {
               static_cast<size_t>(kBatches * kDocsPerBatch));
   }
   EXPECT_TRUE(index.VerifyIntegrity().ok());
+}
+
+// Deletions are index-wide state: DeleteDocument takes only the document
+// lock, and a sweep hands every shard one copy of the set. A writer
+// buffers and flushes documents while a deleter removes every third one
+// (buffered or flushed), a sweeper sweeps, and readers query. A document
+// deleted before a query starts never shows in its answer, and at quiesce
+// the index answers exactly like a one-shard oracle fed the same
+// documents and deletions. Run under -DDUPLEX_SANITIZE=thread in CI.
+TEST(ShardedIndexStressTest, DeletesSweepsFlushesAndQueriesRace) {
+  static constexpr const char* kPool[] = {
+      "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+      "eta",   "theta", "iota", "kappa", "lambda",  "mu"};
+  constexpr size_t kPoolSize = std::size(kPool);
+  constexpr int kFlushes = 30;
+  constexpr int kDocsPerFlush = 20;
+  constexpr DocId kDocs = kFlushes * kDocsPerFlush;
+  const auto text_of = [](DocId doc) {
+    std::string text = kPool[0];  // every document: one long list
+    for (int w = 0; w < 3; ++w) {
+      text += ' ';
+      text += kPool[(doc * (2 * w + 3) + w) % kPoolSize];
+    }
+    return text;
+  };
+  const auto doomed = [](DocId doc) { return doc % 3 == 0; };
+
+  ShardedIndex index(ShardedOptions(4, true));
+  std::atomic<DocId> assigned{0};       // docs [0, assigned) were added
+  std::atomic<int64_t> deleted_upto{-1};  // doomed docs <= this deleted
+  std::atomic<bool> writing_done{false};
+  std::atomic<bool> deleting_done{false};
+  std::atomic<bool> failed{false};
+
+  std::thread writer([&] {
+    for (int f = 0; f < kFlushes && !failed; ++f) {
+      for (int d = 0; d < kDocsPerFlush; ++d) {
+        const DocId expect = assigned.load();
+        if (index.AddDocument(text_of(expect)) != expect) failed = true;
+        assigned.store(expect + 1);
+        // Let the deleter reach the document while it is still buffered.
+        std::this_thread::yield();
+      }
+      if (!index.FlushDocuments().ok()) failed = true;
+    }
+    writing_done = true;
+  });
+  std::thread deleter([&] {
+    DocId next = 0;
+    while (next < kDocs && !failed) {
+      const DocId limit = assigned.load();
+      for (; next < limit; ++next) {
+        if (!doomed(next)) continue;
+        index.DeleteDocument(next);
+        deleted_upto.store(static_cast<int64_t>(next));
+      }
+      if (next < kDocs) std::this_thread::yield();
+    }
+    deleting_done = true;
+  });
+  std::thread sweeper([&] {
+    while (!(writing_done && deleting_done) && !failed) {
+      if (!index.SweepDeletions().ok()) failed = true;
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 7);
+      while (!(writing_done && deleting_done) && !failed) {
+        const int64_t limit = deleted_upto.load();
+        Result<std::vector<DocId>> docs =
+            index.GetPostings(kPool[rng.Uniform(kPoolSize)]);
+        if (!docs.ok()) {
+          if (!docs.status().IsNotFound()) failed = true;
+          continue;
+        }
+        for (size_t i = 0; i < docs->size(); ++i) {
+          const DocId doc = (*docs)[i];
+          if (i > 0 && (*docs)[i - 1] >= doc) failed = true;
+          if (doomed(doc) && static_cast<int64_t>(doc) <= limit) {
+            failed = true;  // deleted before the query began
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  deleter.join();
+  sweeper.join();
+  for (std::thread& t : readers) t.join();
+  ASSERT_FALSE(failed);
+
+  ASSERT_TRUE(index.SweepDeletions().ok());
+  EXPECT_EQ(index.deleted_count(), 0u);
+  ASSERT_TRUE(index.VerifyIntegrity().ok());
+  ShardedIndex oracle(ShardedOptions(1, true));
+  for (DocId doc = 0; doc < kDocs; ++doc) {
+    oracle.AddDocument(text_of(doc));
+    if ((doc + 1) % kDocsPerFlush == 0) {
+      ASSERT_TRUE(oracle.FlushDocuments().ok());
+    }
+  }
+  for (DocId doc = 0; doc < kDocs; ++doc) {
+    if (doomed(doc)) oracle.DeleteDocument(doc);
+  }
+  for (const char* word : kPool) {
+    Result<std::vector<DocId>> got = index.GetPostings(word);
+    Result<std::vector<DocId>> expect = oracle.GetPostings(word);
+    ASSERT_TRUE(got.ok()) << word << ": " << got.status();
+    ASSERT_TRUE(expect.ok()) << word << ": " << expect.status();
+    EXPECT_EQ(*got, *expect) << word;
+    for (const DocId doc : *got) EXPECT_FALSE(doomed(doc)) << word;
+    // The sweep really removed them: the lists hold no deleted postings.
+    EXPECT_EQ(index.Locate(word).postings, got->size()) << word;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "core/batch_log.h"
-#include "core/inverted_index.h"
 #include "core/checkpoint.h"
 #include "core/sharded_index.h"
 #include "ir/query_executor.h"
@@ -220,7 +219,7 @@ TEST_F(MaintenanceCycleTest, LogApplySnapshotCrashRecover) {
 }
 
 TEST_F(MaintenanceCycleTest, IntegrityHoldsAcrossFullLifecycle) {
-  core::InvertedIndex index(Options());
+  core::ShardedIndex index(core::ShardedIndexOptions::Partition(Options(), 1));
   for (int day = 0; day < 6; ++day) {
     for (int d = 0; d < 20; ++d) {
       // All-letter tokens: the tokenizer splits letter runs from digits.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 
 namespace duplex::ir {
@@ -30,7 +30,8 @@ TEST(MergeOpsTest, Difference) {
 
 class QueryEvalTest : public ::testing::Test {
  protected:
-  QueryEvalTest() : index_(Options()) {
+  QueryEvalTest()
+      : index_(core::ShardedIndexOptions::Partition(Options(), 1)) {
     index_.AddDocument("the cat sat on the mat");       // 0
     index_.AddDocument("the dog chased the cat");       // 1
     index_.AddDocument("a mouse ran away");             // 2
@@ -58,7 +59,7 @@ class QueryEvalTest : public ::testing::Test {
     return r.ok() ? r->docs : std::vector<DocId>{};
   }
 
-  core::InvertedIndex index_;
+  core::ShardedIndex index_;
 };
 
 TEST_F(QueryEvalTest, SingleTerm) {

@@ -5,19 +5,19 @@
 #include <string>
 #include <vector>
 
-#include "core/inverted_index.h"
 #include "core/memory_index.h"
 #include "core/merging_reader.h"
 #include "core/sharded_index.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 #include "util/random.h"
 
 namespace duplex::ir {
 namespace {
 
 // Backend equivalence: the same seeded document stream indexed three ways
-// — unsharded InvertedIndex, word-partitioned ShardedIndex, and a
-// MergingReader overlaying a MemoryIndex delta on an InvertedIndex base —
+// — a one-shard ShardedIndex, a four-shard ShardedIndex, and a
+// MergingReader overlaying a MemoryIndex delta on a one-shard base —
 // must answer an identical boolean + vector workload with bit-identical
 // doc lists. Boolean and vector queries over the same term sequence must
 // also report identical costs: both paths charge through the one
@@ -59,10 +59,10 @@ class QueryExecutorTest : public ::testing::Test {
   }
 
   QueryExecutorTest()
-      : full_(Options()),
+      : full_(core::ShardedIndexOptions::Partition(Options(), 1)),
         sharded_(core::ShardedIndexOptions::Partition(Options(), 4)),
-        base_(Options()),
-        delta_(&tokenizer_, &base_.vocabulary()) {
+        base_(core::ShardedIndexOptions::Partition(Options(), 1)),
+        delta_(&tokenizer_, &delta_vocabulary_) {
     Rng rng(13);
     std::vector<std::string> batch1;
     std::vector<std::string> batch2;
@@ -96,9 +96,11 @@ class QueryExecutorTest : public ::testing::Test {
   }
 
   text::Tokenizer tokenizer_;
-  core::InvertedIndex full_;
+  // The delta's own word ids: every query resolves terms by string.
+  text::Vocabulary delta_vocabulary_;
+  core::ShardedIndex full_;
   core::ShardedIndex sharded_;
-  core::InvertedIndex base_;
+  core::ShardedIndex base_;
   core::MemoryIndex delta_;
   std::unique_ptr<core::MergingReader> merged_;
 };

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "text/batch.h"
 
 namespace duplex::ir {
@@ -14,7 +14,8 @@ namespace {
 // long list and many rare words that stay in buckets.
 class QueryWorkloadTest : public ::testing::Test {
  protected:
-  QueryWorkloadTest() : index_(Options()) {
+  QueryWorkloadTest()
+      : index_(core::ShardedIndexOptions::Partition(Options(), 1)) {
     text::BatchUpdate batch;
     batch.pairs.push_back({0, 500});  // frequent word -> long list
     for (WordId w = 1; w <= 60; ++w) batch.pairs.push_back({w, 2});
@@ -32,7 +33,7 @@ class QueryWorkloadTest : public ::testing::Test {
     return o;
   }
 
-  core::InvertedIndex index_;
+  core::ShardedIndex index_;
 };
 
 TEST_F(QueryWorkloadTest, SnapshotsWholeVocabulary) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/inverted_index.h"
+#include "core/sharded_index.h"
 #include "ir/query_executor.h"
 
 namespace duplex::ir {
@@ -10,7 +10,8 @@ namespace {
 
 class VectorQueryTest : public ::testing::Test {
  protected:
-  VectorQueryTest() : index_(Options()) {
+  VectorQueryTest()
+      : index_(core::ShardedIndexOptions::Partition(Options(), 1)) {
     index_.AddDocument("apple banana cherry");  // 0
     index_.AddDocument("apple banana");         // 1
     index_.AddDocument("apple");                // 2
@@ -31,7 +32,7 @@ class VectorQueryTest : public ::testing::Test {
     return o;
   }
 
-  core::InvertedIndex index_;
+  core::ShardedIndex index_;
 };
 
 TEST_F(VectorQueryTest, RanksByAccumulatedWeightTimesIdf) {

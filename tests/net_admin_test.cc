@@ -198,10 +198,30 @@ TEST(AdminServerTest, StartStopLifecycleIsIdempotent) {
 // --- net::Server lifecycle instrumentation ----------------------------------
 
 // Server + service + admin wired the way duplexd wires them.
+// A service whose boolean queries take at least `delay`: the slow
+// requests the slow-query tests need.
+class SlowBooleanService : public ShardedIndexService {
+ public:
+  SlowBooleanService(core::ShardedIndex* index,
+                     std::chrono::milliseconds delay)
+      : ShardedIndexService(index, nullptr), delay_(delay) {}
+
+ protected:
+  Result<ir::QueryResult> Boolean(std::string_view query) override {
+    std::this_thread::sleep_for(delay_);
+    return ShardedIndexService::Boolean(query);
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+};
+
 class InstrumentedFixture {
  public:
-  explicit InstrumentedFixture(ServerOptions options)
-      : index_(SmallOptions(2)), service_(&index_, nullptr) {
+  explicit InstrumentedFixture(
+      ServerOptions options,
+      std::chrono::milliseconds boolean_delay = std::chrono::milliseconds(0))
+      : index_(SmallOptions(2)), service_(&index_, boolean_delay) {
     index_.AddDocument("incremental updates of inverted lists");
     index_.AddDocument("text document retrieval with inverted files");
     index_.AddDocument("dual structure index for incremental text updates");
@@ -221,7 +241,7 @@ class InstrumentedFixture {
 
  private:
   core::ShardedIndex index_;
-  ShardedIndexService service_;
+  SlowBooleanService service_;
   std::unique_ptr<Server> server_;
 };
 
@@ -255,12 +275,12 @@ TEST(ServerInstrumentationTest, PhaseHistogramsAndGaugesPopulate) {
 TEST(ServerInstrumentationTest, SlowQueriesLandInRingWithCostCounters) {
   ServerOptions options;
   options.slow_query_threshold = std::chrono::milliseconds(1);
-  options.test_handler_delay = std::chrono::milliseconds(5);
-  InstrumentedFixture fx(options);
+  InstrumentedFixture fx(options, std::chrono::milliseconds(5));
   Client client = fx.ConnectOrDie();
   Result<ir::QueryResult> result = client.Boolean("inverted AND updates");
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(client.Ping().ok());
+  result = client.Boolean("text OR dual");
+  ASSERT_TRUE(result.ok()) << result.status();
 
   // The worker records the slow entry after writing the response, so
   // the client can get its reply a beat before the record lands — poll.
@@ -274,7 +294,7 @@ TEST(ServerInstrumentationTest, SlowQueriesLandInRingWithCostCounters) {
   ASSERT_FALSE(recent.empty());
   bool saw_query = false;
   for (const SlowQueryRecord& r : recent) {
-    EXPECT_GT(r.execute_ns, 1000000u);  // the 5ms handler delay
+    EXPECT_GT(r.execute_ns, 1000000u);  // the 5ms boolean delay
     EXPECT_GT(r.response_bytes, 0u);
     if (r.opcode == static_cast<uint8_t>(Opcode::kBooleanQuery)) {
       saw_query = true;
@@ -299,12 +319,11 @@ TEST(ServerInstrumentationTest, AdminScrapesRaceRequestRecording) {
   MetricsRegistry registry;
   MetricsRegistry* prev = SetGlobalMetrics(&registry);
   {
-    // Every request is slow (1ms threshold, 2ms forced delay), so worker
+    // Every query is slow (1ms threshold, 2ms boolean delay), so worker
     // threads write the slow ring while the scraper reads it.
     ServerOptions options;
     options.slow_query_threshold = std::chrono::milliseconds(1);
-    options.test_handler_delay = std::chrono::milliseconds(2);
-    InstrumentedFixture fx(options);
+    InstrumentedFixture fx(options, std::chrono::milliseconds(2));
 
     Readiness readiness;
     readiness.SetReady();

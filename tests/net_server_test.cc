@@ -6,10 +6,8 @@
 // → typed GoAway + close, overload → typed BUSY, stale queue entries →
 // deadline shedding) and Start/Stop lifecycle idempotency.
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +15,7 @@
 #include "core/batch_log.h"
 #include "core/sharded_index.h"
 #include "gtest/gtest.h"
+#include "handler_gate.h"
 #include "ir/query_executor.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -40,44 +39,8 @@ core::ShardedIndexOptions SmallOptions(uint32_t shards) {
   return core::ShardedIndexOptions::Partition(total, shards);
 }
 
-// A latch on the boolean-query handler. While closed, every boolean
-// query parks its worker until the test opens it, so overload tests can
-// hold the server saturated for exactly as long as they need.
-class HandlerGate {
- public:
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-  }
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  // Blocks until `n` handlers have parked on the closed gate; false if
-  // that takes implausibly long (the test fails instead of hanging).
-  bool AwaitParked(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(30),
-                        [&] { return parked_ >= n; });
-  }
-  void Pass() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (open_) return;
-    ++parked_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = true;
-  int parked_ = 0;
-};
-
+// Every boolean query passes the fixture's HandlerGate (handler_gate.h):
+// while the gate is closed, it parks its worker.
 class GatedService : public ShardedIndexService {
  public:
   GatedService(core::ShardedIndex* index, core::BatchLog* wal,
@@ -320,7 +283,7 @@ TEST(NetServerTest, NonRequestOpcodeDrawsGoAway) {
   EXPECT_EQ(resp->request_id, 3u);
 }
 
-// Overload: one slow worker, tiny queues, a burst of pipelined requests.
+// Overload: one parked worker, tiny queues, a burst of pipelined requests.
 // The overflow must come back as typed BUSY immediately — the server
 // never queues unboundedly — while every admitted request still answers.
 TEST(NetServerTest, OverloadDrawsTypedBusy) {
@@ -329,18 +292,21 @@ TEST(NetServerTest, OverloadDrawsTypedBusy) {
   options.per_connection_queue = 2;
   options.global_queue = 2;
   options.request_deadline = std::chrono::milliseconds(0);  // no shedding
-  options.test_handler_delay = std::chrono::milliseconds(50);
   ServerFixture fx(options);
   Client client = fx.ConnectOrDie();
 
   const int kBurst = 12;
   const std::string payload = EncodeBooleanQueryRequest({"inverted"});
+  fx.gate().Close();
   for (int i = 0; i < kBurst; ++i) {
     Result<uint64_t> sent = client.Send(Opcode::kBooleanQuery, payload);
     ASSERT_TRUE(sent.ok()) << sent.status();
   }
+  // While the gate is closed no query can answer OK, so the first
+  // response to arrive is an overflow BUSY; then let the admitted ones run.
   int ok = 0, busy = 0;
   for (int i = 0; i < kBurst; ++i) {
+    if (i == 1) fx.gate().Open();
     Result<ClientResponse> resp = client.Receive();
     ASSERT_TRUE(resp.ok()) << resp.status();
     if (resp->status.ok()) {
@@ -356,25 +322,31 @@ TEST(NetServerTest, OverloadDrawsTypedBusy) {
   EXPECT_EQ(fx.server().requests_rejected(), static_cast<uint64_t>(busy));
 }
 
-// Deadline shedding: with one worker sleeping 60ms per request and a
-// 20ms admission-to-execution budget, pipelined requests behind the
-// first sit past their deadline and must be shed as BUSY, not executed.
+// Deadline shedding: with the one worker parked on the first request and
+// a 20ms admission-to-execution budget, pipelined requests behind it sit
+// past their deadline and must be shed as BUSY, not executed.
 TEST(NetServerTest, StaleQueuedRequestsAreShed) {
   ServerOptions options;
   options.num_workers = 1;
   options.per_connection_queue = 16;
   options.global_queue = 16;
   options.request_deadline = std::chrono::milliseconds(20);
-  options.test_handler_delay = std::chrono::milliseconds(60);
   ServerFixture fx(options);
   Client client = fx.ConnectOrDie();
 
   const int kBurst = 4;
   const std::string payload = EncodeBooleanQueryRequest({"inverted"});
+  fx.gate().Close();
   for (int i = 0; i < kBurst; ++i) {
     Result<uint64_t> sent = client.Send(Opcode::kBooleanQuery, payload);
     ASSERT_TRUE(sent.ok()) << sent.status();
   }
+  ASSERT_TRUE(fx.gate().AwaitParked(1));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return fx.server().queue_depth() == kBurst - 1; }));
+  // The queued requests outlive their budget while the worker is parked.
+  std::this_thread::sleep_for(3 * options.request_deadline);
+  fx.gate().Open();
   int ok = 0, shed = 0;
   for (int i = 0; i < kBurst; ++i) {
     Result<ClientResponse> resp = client.Receive();
@@ -421,16 +393,22 @@ TEST(NetServerTest, StopIsIdempotentAndRestartable) {
 TEST(NetServerTest, StopDrainsAdmittedRequests) {
   ServerOptions options;
   options.num_workers = 1;
-  options.test_handler_delay = std::chrono::milliseconds(80);
   ServerFixture fx(options);
   Client client = fx.ConnectOrDie();
   const std::string payload = EncodeBooleanQueryRequest({"inverted"});
+  fx.gate().Close();
   Result<uint64_t> sent = client.Send(Opcode::kBooleanQuery, payload);
   ASSERT_TRUE(sent.ok()) << sent.status();
-  // Give the reader thread time to admit the frame, then stop: the
-  // admitted request must still be answered before Stop returns.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fx.server().Stop();
+  // The request is admitted and executing; stop the server under it. Once
+  // the listener refuses connections Stop is under way, and the admitted
+  // request must still be answered before Stop returns.
+  ASSERT_TRUE(fx.gate().AwaitParked(1));
+  const uint16_t port = fx.server().port();
+  std::thread stopper([&] { fx.server().Stop(); });
+  EXPECT_TRUE(
+      WaitUntil([&] { return !Client::Connect("127.0.0.1", port).ok(); }));
+  fx.gate().Open();
+  stopper.join();
   Result<ClientResponse> resp = client.Receive();
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_EQ(resp->request_id, *sent);
@@ -506,19 +484,6 @@ ServerOptions OverloadOptions() {
   options.global_queue = 2;
   options.request_deadline = std::chrono::milliseconds(0);  // no shedding
   return options;
-}
-
-// Polls `done` until it holds (or a generous bound passes, so a broken
-// server fails the test instead of hanging it).
-template <typename Predicate>
-bool WaitUntil(Predicate done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
 }
 
 // Saturates the server from a second connection and returns it (the

@@ -196,10 +196,10 @@ TEST(ObservedPipelineTest, ShardedRunRecordsPerShardApplySeries) {
   SimConfig config = ObservedConfig();
   config.observability_dir = dir;
   const BatchStream stream = GenerateBatches(TinyCorpus());
-  const ShardedRunResult result =
-      RunPolicySharded(config, stream.batches,
-                       core::Policy::RecommendedUpdateOptimized(),
-                       /*num_shards=*/4, /*threads=*/2);
+  const PolicyRunResult result =
+      RunPolicy(config, stream.batches,
+                core::Policy::RecommendedUpdateOptimized(),
+                /*num_shards=*/4, /*threads=*/2);
   EXPECT_EQ(result.shard_stats.size(), 4u);
   const std::string prom = ReadFile(dir + "/metrics.prom");
   const std::set<std::string> families = ValidatePrometheus(prom);

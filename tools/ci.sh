@@ -9,8 +9,9 @@
 # over the recovery surface (fault injection, crash sweeps, WAL,
 # checkpoint, superblock, codecs, frame fuzz, the in-memory block device).
 # Then the benchmark harness's self-test (perfbench/run.py --selftest),
-# the cache and compaction bench smokes, and the read-path bench gate
-# that fails if the QueryExecutor seam regresses query throughput by >2%.
+# the cache and compaction bench smokes, the read-path bench gate that
+# fails if the QueryExecutor seam regresses query throughput by >2%, and
+# the quickstart example, which must exit 0 and print its result lines.
 # Every bench smoke runs inside build-ci-release/, so its smoke-scale
 # BENCH_*.json lands there and the committed ones in the repo root stay
 # as their stated scale wrote them. The loopback smoke drives the real
@@ -81,6 +82,15 @@ DUPLEX_BENCH_DOCS="${DUPLEX_BENCH_DOCS:-150}" \
 
 echo "=== Read-path bench smoke (executor vs direct-overload, <2% budget) ==="
 bench_smoke bench_ext_read_path
+
+echo "=== Quickstart example smoke (exit 0, deletion filtered, index verifies) ==="
+./build-ci-release/examples/quickstart > build-ci-release/quickstart.out \
+  || { echo "quickstart exited non-zero"; exit 1; }
+grep -qx "after deleting doc 0, 'lazy' matches 0 docs" \
+  build-ci-release/quickstart.out \
+  || { echo "quickstart did not filter the deleted document"; exit 1; }
+grep -qx 'integrity ok' build-ci-release/quickstart.out \
+  || { echo "quickstart did not print its result line"; exit 1; }
 
 echo "=== Loopback smoke (duplexd + duplexctl + clean SIGTERM shutdown) ==="
 SMOKE_DIR="$(mktemp -d)"
