@@ -92,7 +92,7 @@ int main() {
   core::ShardedIndex index(options);
   core::LiveIndex live(&index, wal->get());
 
-  // Base corpus through the classic buffered path, fully drained.
+  // Base corpus through the batch path, fully drained.
   std::mt19937 rng(4242);
   {
     Stopwatch watch;

@@ -142,7 +142,7 @@ double RunServedOnce(bool telemetry) {
     // unrealistically little work and overstate the overhead.
     Rng rng(11);
     for (int d = 0; d < 4000; ++d) index.AddDocument(ServedDocument(rng));
-    if (!index.FlushDocumentsLogged(nullptr).ok()) std::abort();
+    if (!index.FlushDocuments(nullptr).ok()) std::abort();
   }
   net::ShardedIndexService service(&index, nullptr);
 

@@ -33,9 +33,11 @@ int main() {
   total.materialize = true;
   core::ShardedIndex index(core::ShardedIndexOptions::Partition(total, 4));
 
-  // 2. Add documents. Documents buffer in memory and are searchable at
-  //    once; FlushDocuments() pushes one batch into the on-disk structures
-  //    (the paper's batch update), partitioned by word hash.
+  // 2. Add documents. AddDocument stages the text; the documents become
+  //    searchable after FlushDocuments(), which inverts them and pushes
+  //    one batch into the on-disk structures (the paper's batch update),
+  //    partitioned by word hash. For documents searchable the moment they
+  //    are acked, ingest through core::LiveIndex::SubmitLive instead.
   index.AddDocument("the quick brown fox jumps over the lazy dog");
   index.AddDocument("a quick survey of text document retrieval");
   index.AddDocument("inverted lists map each word to its documents");

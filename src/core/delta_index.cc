@@ -15,10 +15,18 @@ void DeltaIndex::Insert(const text::InvertedBatch& batch,
   std::unique_lock lock(mutex_);
   if (empty_locked()) oldest_insert_ = std::chrono::steady_clock::now();
   for (size_t i = 0; i < batch.entries.size(); ++i) {
-    mem_.AddPostings(batch.entries[i].word, batch.entries[i].docs);
+    const std::vector<DocId>& docs = batch.entries[i].docs;
+    if (!docs.empty()) {
+      std::vector<DocId>& list = lists_[batch.entries[i].word];
+      DUPLEX_CHECK(list.empty() || list.back() < docs.front())
+          << "postings must be appended in ascending doc-id order";
+      list.insert(list.end(), docs.begin(), docs.end());
+      postings_ += docs.size();
+    }
     words_.emplace(words[i], batch.entries[i].word);
   }
-  mem_.NoteDocuments(documents, first_doc + documents);
+  documents_ += documents;
+  next_doc_id_ = std::max(next_doc_id_, first_doc + documents);
   if (logged) wal_batch_ids_.push_back(wal_batch_id);
 }
 
@@ -28,7 +36,7 @@ void DeltaIndex::MarkDeleted(DocId doc) {
 }
 
 bool DeltaIndex::empty_locked() const {
-  return mem_.document_count() == 0 && wal_batch_ids_.empty();
+  return documents_ == 0 && wal_batch_ids_.empty();
 }
 
 bool DeltaIndex::empty() const {
@@ -38,12 +46,12 @@ bool DeltaIndex::empty() const {
 
 size_t DeltaIndex::document_count() const {
   std::shared_lock lock(mutex_);
-  return mem_.document_count();
+  return documents_;
 }
 
 uint64_t DeltaIndex::total_postings() const {
   std::shared_lock lock(mutex_);
-  return mem_.total_postings();
+  return postings_;
 }
 
 std::chrono::steady_clock::time_point DeltaIndex::oldest_insert() const {
@@ -54,8 +62,8 @@ std::chrono::steady_clock::time_point DeltaIndex::oldest_insert() const {
 DeltaIndex::DrainSnapshot DeltaIndex::Snapshot() const {
   std::shared_lock lock(mutex_);
   DrainSnapshot snap;
-  snap.batch.entries.reserve(mem_.lists().size());
-  for (const auto& [word, docs] : mem_.lists()) {
+  snap.batch.entries.reserve(lists_.size());
+  for (const auto& [word, docs] : lists_) {
     snap.batch.entries.push_back({word, docs});
   }
   std::sort(snap.batch.entries.begin(), snap.batch.entries.end(),
@@ -64,31 +72,42 @@ DeltaIndex::DrainSnapshot DeltaIndex::Snapshot() const {
               return a.word < b.word;
             });
   snap.wal_batch_ids = wal_batch_ids_;
-  snap.documents = mem_.document_count();
-  snap.postings = mem_.total_postings();
+  snap.documents = documents_;
+  snap.postings = postings_;
   return snap;
+}
+
+ListLocation DeltaIndex::LocateLocked(WordId word) const {
+  ListLocation loc;
+  auto it = lists_.find(word);
+  if (it != lists_.end()) {
+    loc.exists = true;
+    loc.postings = it->second.size();
+  }
+  return loc;
 }
 
 ListLocation DeltaIndex::Locate(WordId word) const {
   std::shared_lock lock(mutex_);
-  return mem_.Locate(word);
+  return LocateLocked(word);
 }
 
 ListLocation DeltaIndex::Locate(std::string_view word) const {
   std::shared_lock lock(mutex_);
   auto it = words_.find(std::string(word));
   if (it == words_.end()) return ListLocation{};
-  return mem_.Locate(it->second);
+  return LocateLocked(it->second);
 }
 
 Result<std::vector<DocId>> DeltaIndex::FilteredPostings(WordId word) const {
-  Result<std::vector<DocId>> postings = mem_.GetPostings(word);
-  if (!postings.ok()) return postings;
+  auto it = lists_.find(word);
+  if (it == lists_.end()) return Status::NotFound("word has no inverted list");
+  std::vector<DocId> postings = it->second;
   if (!deleted_.empty()) {
-    postings->erase(
-        std::remove_if(postings->begin(), postings->end(),
+    postings.erase(
+        std::remove_if(postings.begin(), postings.end(),
                        [&](DocId d) { return deleted_.contains(d); }),
-        postings->end());
+        postings.end());
   }
   return postings;
 }
@@ -108,12 +127,12 @@ Result<std::vector<DocId>> DeltaIndex::GetPostings(
 
 DocId DeltaIndex::next_doc_id() const {
   std::shared_lock lock(mutex_);
-  return mem_.next_doc_id();
+  return next_doc_id_;
 }
 
 void DeltaIndex::ForEachWord(const std::function<void(WordId)>& fn) const {
   std::shared_lock lock(mutex_);
-  mem_.ForEachWord(fn);
+  for (const auto& [word, list] : lists_) fn(word);
 }
 
 }  // namespace duplex::core

@@ -9,17 +9,17 @@
 #include <vector>
 
 #include "core/index_reader.h"
-#include "core/memory_index.h"
 #include "text/batch.h"
 #include "util/types.h"
 
 namespace duplex::core {
 
-// The concurrent memtable of the immediate-visibility ingest tier: an
-// in-memory inverted index (built on MemoryIndex) that accepts
+// The one in-memory tier of the index: the paper's in-memory batch that
+// "can be searched simultaneously with the larger index". It accepts
 // already-inverted live batches and serves the full IndexReader surface
 // under a reader-writer lock, so N query threads overlap freely with the
-// single live writer. Word ids are assigned by the on-disk index's shared
+// single live writer; buffered lists cost no disk reads, so Locate
+// reports zero chunks. Word ids are assigned by the on-disk index's shared
 // vocabulary BEFORE insertion (ShardedIndex::BuildLiveBatch), which is
 // what lets a drained batch replay from the WAL into the same id space;
 // the delta keeps its own word-string map so string-keyed queries resolve
@@ -40,7 +40,8 @@ class DeltaIndex : public IndexReader {
   // Inserts one live batch: `batch.entries[i]` holds the ascending doc
   // ids for word `batch.entries[i].word`, whose string is `words[i]`.
   // The batch's `documents` doc ids start at `first_doc` and all exceed
-  // every previously inserted id. When `logged` is true, `wal_batch_id`
+  // every previously inserted id (checked: a list's new postings must
+  // follow its tail). When `logged` is true, `wal_batch_id`
   // is remembered so the drain can mark it applied after the postings
   // reach the disk index (id 0 is a valid first batch id, hence the
   // explicit flag rather than a sentinel).
@@ -85,14 +86,16 @@ class DeltaIndex : public IndexReader {
 
  private:
   bool empty_locked() const;  // requires mutex_
+  ListLocation LocateLocked(WordId word) const;  // requires mutex_
   Result<std::vector<DocId>> FilteredPostings(WordId word) const;
 
   const uint64_t epoch_;
   mutable std::shared_mutex mutex_;
-  // Posting storage; tokenizer/vocabulary are never consulted (ids come
-  // pre-assigned), so the word-id entry points below are the only ones
-  // used.
-  MemoryIndex mem_{nullptr, nullptr};
+  // Posting lists by disk-vocabulary id, each ascending.
+  std::unordered_map<WordId, std::vector<DocId>> lists_;
+  size_t documents_ = 0;
+  uint64_t postings_ = 0;
+  DocId next_doc_id_ = 0;
   // word string -> disk-vocabulary id, for string-keyed query terms.
   std::unordered_map<std::string, WordId> words_;
   std::unordered_set<DocId> deleted_;

@@ -14,12 +14,11 @@ namespace duplex::core {
 // The one read-path seam every query evaluator targets. An IndexReader is
 // anything that can resolve a term to a posting list and price that
 // fetch: the ShardedIndex (the on-disk index; one shard is the paper's
-// single index), the in-memory MemoryIndex (the delta tier of an
-// immediate-visibility ingest path), and MergingReader, which overlays N
-// readers into one view. ir::QueryExecutor is written against this
-// interface only, so a new backend (a network-attached index, a
-// checkpoint reader, a future delta+disk pair) plugs into every evaluator
-// by implementing five methods.
+// single index), the in-memory DeltaIndex (the one in-memory tier, fed by
+// LiveIndex), and MergingReader, which overlays N readers into one view.
+// ir::QueryExecutor is written against this interface only, so a new
+// backend (a network-attached index, a checkpoint reader) plugs into
+// every evaluator by implementing five methods.
 //
 // Contracts shared by all implementations:
 //  - Snapshot semantics are per-call: each Locate/GetPostings sees some

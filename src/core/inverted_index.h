@@ -74,7 +74,7 @@ struct IndexOptions {
 // one batch into the on-disk structures — short lists into hash-addressed
 // fixed-size buckets, bucket overflows promoting the longest short lists
 // into policy-managed long lists — over this store's own disk array,
-// directory and I/O trace. The document buffer, vocabulary and deletion
+// directory and I/O trace. The staged documents, vocabulary and deletion
 // set are index-wide state and live in ShardedIndex, which composes N of
 // these stores (one is the degenerate case) and is the IndexReader
 // queries run against.

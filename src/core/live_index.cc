@@ -97,18 +97,21 @@ Result<LiveIndex::SubmitReceipt> LiveIndex::SubmitBatch(
   // to the disk index directly — so any younger doc ids still buffered
   // in the delta must land first. Quiesce the delta, then apply.
   DUPLEX_RETURN_IF_ERROR(DrainAllLocked(/*submit_held=*/true));
+  // One live batch, applied straight through the commit protocol
+  // instead of entering the delta.
+  Result<ShardedIndex::LiveBatch> batch = index_->BuildLiveBatch(documents);
+  if (!batch.ok()) return batch.status();
   SubmitReceipt receipt;
-  receipt.first_doc = index_->AddDocument(documents.front());
-  for (size_t i = 1; i < documents.size(); ++i) {
-    index_->AddDocument(documents[i]);
+  receipt.first_doc = batch->first_doc;
+  receipt.accepted = batch->documents;
+  if (wal_ == nullptr) {
+    DUPLEX_RETURN_IF_ERROR(index_->ApplyInvertedBatch(batch->batch));
+    return receipt;
   }
-  receipt.accepted = static_cast<uint32_t>(documents.size());
-  uint64_t batch_id = 0;
-  {
-    std::lock_guard<std::mutex> wal(wal_mutex_);
-    DUPLEX_RETURN_IF_ERROR(index_->FlushDocumentsLogged(wal_, &batch_id));
-  }
-  receipt.wal_batch_id = batch_id;
+  std::lock_guard<std::mutex> wal(wal_mutex_);
+  Result<uint64_t> id = index_->ApplyLogged(wal_, batch->batch, batch->words);
+  if (!id.ok()) return id.status();
+  receipt.wal_batch_id = *id;
   return receipt;
 }
 
@@ -129,14 +132,22 @@ void LiveIndex::DeleteDocument(DocId doc) {
 LiveIndex::ReadView LiveIndex::AcquireView() const {
   ReadView view;
   {
-    // Fast path: the tier pointers have not moved since the last view,
-    // so the memoized MergingReader is still exactly right — share it.
     std::shared_lock tiers(tiers_mutex_);
+    // Both tiers empty: the disk index alone answers, with no overlay. A
+    // submit acked after this check inserts into a tier this view never
+    // pinned, which is exactly a view acquired before that ack.
+    if (draining_ == nullptr && active_->empty()) {
+      view.reader_ = index_;
+      return view;
+    }
+    // The tier pointers have not moved since the last view, so the
+    // memoized MergingReader is still exactly right — share it.
     if (cached_merged_ != nullptr && cached_active_ == active_ &&
         cached_draining_ == draining_) {
       view.active_ = active_;
       view.draining_ = draining_;
       view.merged_ = cached_merged_;
+      view.reader_ = view.merged_.get();
       return view;
     }
   }
@@ -154,6 +165,7 @@ LiveIndex::ReadView LiveIndex::AcquireView() const {
   cached_active_ = view.active_;
   cached_draining_ = view.draining_;
   view.merged_ = std::move(merged);
+  view.reader_ = view.merged_.get();
   return view;
 }
 

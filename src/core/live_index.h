@@ -67,7 +67,9 @@ class LiveIndex {
   };
 
   // `index` is the drain target and vocabulary/doc-id authority; `wal`
-  // may be null (no durability logging). Both borrowed, not owned.
+  // may be null (no durability logging). Both borrowed, not owned. All
+  // ingest into `index` must go through this object once queries read
+  // through it.
   LiveIndex(ShardedIndex* index, BatchLog* wal, Options options);
   LiveIndex(ShardedIndex* index, BatchLog* wal)
       : LiveIndex(index, wal, Options()) {}
@@ -88,9 +90,12 @@ class LiveIndex {
   // kResourceExhausted when the delta cap is hit (back off and retry).
   Result<SubmitReceipt> SubmitLive(const std::vector<std::string>& documents);
 
-  // The classic batch path (kSubmitDocuments semantics: durable AND
-  // applied to the disk index at return), serialized against live
-  // submits so the two ingest disciplines never interleave doc ids.
+  // The paper's batch path (kSubmitDocuments semantics: durable AND
+  // applied to the disk index at return): the documents become one live
+  // batch (BuildLiveBatch) applied through ShardedIndex::ApplyLogged, or
+  // unlogged without a WAL. Serialized against live submits; the delta
+  // drains first, since posting lists grow in doc-id order. A failed
+  // batch burns its doc ids, as a failed SubmitLive does.
   Result<SubmitReceipt> SubmitBatch(const std::vector<std::string>& documents);
 
   // Deletes everywhere: the disk index filters its lists, and both delta
@@ -101,13 +106,15 @@ class LiveIndex {
   // at acquisition, merged with doc-id dedup. Cheap — three shared_ptr
   // copies; the MergingReader (immutable after construction) is cached
   // and shared across views, rebuilt only when a submit or drain swaps a
-  // tier pointer. Hold it for one query.
+  // tier pointer. While both tiers are empty the view is the ShardedIndex
+  // itself, with no overlay. Hold it for one query.
   class ReadView {
    public:
-    const IndexReader& reader() const { return *merged_; }
+    const IndexReader& reader() const { return *reader_; }
 
    private:
     friend class LiveIndex;
+    const IndexReader* reader_ = nullptr;
     std::shared_ptr<DeltaIndex> active_;
     std::shared_ptr<DeltaIndex> draining_;
     std::shared_ptr<const MergingReader> merged_;

@@ -9,7 +9,7 @@ namespace duplex::core {
 
 // Overlays N readers into one IndexReader view with doc-id dedup — the
 // read-side shape of a delta + disk index pair: queries see the union of
-// an in-memory MemoryIndex (documents that just arrived) and the on-disk
+// the in-memory DeltaIndex (documents that just arrived) and the on-disk
 // ShardedIndex (everything flushed), without either side
 // knowing about the other. Works over any reader combination; a doc id
 // reported by several readers appears once.
@@ -21,7 +21,7 @@ namespace duplex::core {
 //
 // Thread safety: MergingReader itself is immutable after construction;
 // concurrent use is exactly as safe as the least-safe underlying reader
-// (ShardedIndex locks internally, a bare MemoryIndex does not).
+// (ShardedIndex and DeltaIndex both lock internally).
 class MergingReader : public IndexReader {
  public:
   // `readers` must be non-empty; every pointer must outlive this object.

@@ -139,24 +139,29 @@ Status ShardedIndex::ApplyInvertedBatch(const text::InvertedBatch& batch) {
 Result<uint64_t> ShardedIndex::ApplyLogged(
     BatchLog* log, const text::InvertedBatch& batch,
     const std::vector<std::string>& words) {
+  DUPLEX_CHECK(log != nullptr);
   std::unique_lock lock(doc_mutex_);
   bool applied = false;
-  return ApplyLoggedLocked(log, batch, words, &applied);
+  return ApplyLocked(log, batch, words, &applied);
 }
 
-Result<uint64_t> ShardedIndex::ApplyLoggedLocked(
+Result<uint64_t> ShardedIndex::ApplyLocked(
     BatchLog* log, const text::InvertedBatch& batch,
     const std::vector<std::string>& words, bool* applied) {
-  DUPLEX_CHECK(log != nullptr);
-  Result<uint64_t> id = log->AppendBatch(batch, words);
-  if (!id.ok()) return id.status();
+  uint64_t id = 0;
+  if (log != nullptr) {
+    Result<uint64_t> appended = log->AppendBatch(batch, words);
+    if (!appended.ok()) return appended.status();
+    id = *appended;
+  }
   DocId end_doc = 0;
   DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
   next_doc_id_ = std::max(next_doc_id_, end_doc);
   shard_doc_end_ = std::max(shard_doc_end_, end_doc);
   *applied = true;
+  if (log == nullptr) return id;
   DUPLEX_RETURN_IF_ERROR(FlushCaches());
-  DUPLEX_RETURN_IF_ERROR(log->MarkApplied(*id));
+  DUPLEX_RETURN_IF_ERROR(log->MarkApplied(id));
   return id;
 }
 
@@ -180,54 +185,39 @@ Result<uint64_t> ShardedIndex::ReplayLogged(BatchLog* log, uint64_t epoch) {
 
 DocId ShardedIndex::AddDocument(const std::string& text) {
   std::unique_lock lock(doc_mutex_);
-  const DocId doc =
-      next_doc_id_ + static_cast<DocId>(memory_index_.document_count());
-  memory_index_.AddDocument(doc, text);
-  return doc;
+  staged_.push_back(text);
+  return next_doc_id_ + static_cast<DocId>(staged_.size() - 1);
 }
 
-Status ShardedIndex::FlushDocuments() {
-  return FlushDocumentsLogged(nullptr, nullptr);
+ShardedIndex::LiveBatch ShardedIndex::InvertLocked(
+    const std::vector<std::string>& documents) {
+  LiveBatch out;
+  out.first_doc = next_doc_id_;
+  out.documents = static_cast<uint32_t>(documents.size());
+  // Documents without a single word still consume their ids.
+  DocId next = next_doc_id_;
+  out.batch =
+      text::BatchInverter(tokenizer_, &vocabulary_).Invert(documents, &next);
+  out.words.reserve(out.batch.entries.size());
+  for (const text::InvertedBatch::Entry& entry : out.batch.entries) {
+    out.words.push_back(vocabulary_.WordFor(entry.word));
+  }
+  return out;
 }
 
-Status ShardedIndex::FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id) {
+Status ShardedIndex::FlushDocuments(BatchLog* log, uint64_t* batch_id) {
   if (batch_id != nullptr) *batch_id = 0;
   std::unique_lock lock(doc_mutex_);
-  if (memory_index_.empty()) return Status::OK();
-  text::InvertedBatch batch;
-  batch.entries.reserve(memory_index_.lists().size());
-  for (const auto& [word, docs] : memory_index_.lists()) {
-    batch.entries.push_back({word, docs});
-  }
-  std::sort(batch.entries.begin(), batch.entries.end(),
-            [](const text::InvertedBatch::Entry& a,
-               const text::InvertedBatch::Entry& b) {
-              return a.word < b.word;
-            });
-  // Documents without a single word still consume their ids.
-  const DocId new_next =
-      next_doc_id_ + static_cast<DocId>(memory_index_.document_count());
-  // The shards own the batch from the moment they applied it; the buffer
-  // must not serve its postings a second time, even if a later step fails.
-  const auto hand_off = [&] {
-    next_doc_id_ = std::max(next_doc_id_, new_next);
-    memory_index_.Clear();
-  };
-  if (log == nullptr) {
-    DocId end_doc = 0;
-    DUPLEX_RETURN_IF_ERROR(ApplyPartitioned(batch, &end_doc));
-    shard_doc_end_ = std::max(shard_doc_end_, end_doc);
-    hand_off();
-    return Status::OK();
-  }
-  std::vector<std::string> words;
-  words.reserve(batch.entries.size());
-  for (const text::InvertedBatch::Entry& entry : batch.entries) {
-    words.push_back(vocabulary_.WordFor(entry.word));
-  }
+  if (staged_.empty()) return Status::OK();
+  const LiveBatch staged = InvertLocked(staged_);
   bool applied = false;
-  Result<uint64_t> id = ApplyLoggedLocked(log, batch, words, &applied);
-  if (applied) hand_off();
+  Result<uint64_t> id = ApplyLocked(log, staged.batch, staged.words, &applied);
+  // The shards own the batch from the moment they applied it; it must not
+  // be applied a second time, even if a later step fails.
+  if (applied) {
+    next_doc_id_ = std::max(next_doc_id_, staged.first_doc + staged.documents);
+    staged_.clear();
+  }
   if (!id.ok()) return id.status();
   if (batch_id != nullptr) *batch_id = *id;
   return Status::OK();
@@ -236,75 +226,46 @@ Status ShardedIndex::FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id) {
 Result<ShardedIndex::LiveBatch> ShardedIndex::BuildLiveBatch(
     const std::vector<std::string>& documents) {
   std::unique_lock lock(doc_mutex_);
-  if (!memory_index_.empty()) {
+  if (!staged_.empty()) {
     return Status::FailedPrecondition(
-        "live batch over a non-empty document buffer: flush first");
+        "live batch over staged documents: flush first");
   }
-  LiveBatch out;
-  out.first_doc = next_doc_id_;
-  out.documents = static_cast<uint32_t>(documents.size());
-  out.batch =
-      text::BatchInverter(tokenizer_, &vocabulary_).Invert(documents,
-                                                           &next_doc_id_);
-  out.words.reserve(out.batch.entries.size());
-  for (const text::InvertedBatch::Entry& entry : out.batch.entries) {
-    out.words.push_back(vocabulary_.WordFor(entry.word));
-  }
+  LiveBatch out = InvertLocked(documents);
+  next_doc_id_ += out.documents;
   return out;
 }
 
 size_t ShardedIndex::buffered_documents() const {
   std::shared_lock lock(doc_mutex_);
-  return memory_index_.document_count();
+  return staged_.size();
 }
 
 ListLocation ShardedIndex::Locate(WordId word) const {
-  std::shared_lock doc_lock(doc_mutex_);
-  ListLocation loc = shards_[ShardFor(word)]->WithRead(
+  return shards_[ShardFor(word)]->WithRead(
       [&](const InvertedIndex& index) { return index.Locate(word); });
-  // Buffered postings are visible too; they cost no disk reads.
-  if (const std::vector<DocId>* buffered = memory_index_.Find(word)) {
-    loc.exists = true;
-    loc.postings += buffered->size();
-  }
-  return loc;
 }
 
 ListLocation ShardedIndex::Locate(std::string_view word) const {
-  std::shared_lock doc_lock(doc_mutex_);
-  const WordId id = vocabulary_.Lookup(word);
-  if (id == kInvalidWord) return ListLocation{};
-  ListLocation loc = shards_[ShardFor(id)]->WithRead(
-      [&](const InvertedIndex& index) { return index.Locate(id); });
-  if (const std::vector<DocId>* buffered = memory_index_.Find(id)) {
-    loc.exists = true;
-    loc.postings += buffered->size();
+  WordId id;
+  {
+    std::shared_lock doc_lock(doc_mutex_);
+    id = vocabulary_.Lookup(word);
   }
-  return loc;
+  if (id == kInvalidWord) return ListLocation{};
+  return Locate(id);
 }
 
 Result<std::vector<DocId>> ShardedIndex::GetPostings(WordId word) const {
+  // The document lock spans the shard read and the deletion filter:
+  // SweepDeletions erases a document from the set only after its shard
+  // rewrite, so a narrower lock could return a swept document.
   std::shared_lock doc_lock(doc_mutex_);
-  Result<std::vector<DocId>> flushed = shards_[ShardFor(word)]->WithRead(
+  Result<std::vector<DocId>> docs = shards_[ShardFor(word)]->WithRead(
       [&](const InvertedIndex& index) { return index.GetPostings(word); });
-  if (!flushed.ok() && !flushed.status().IsNotFound()) {
-    return flushed.status();
-  }
-  std::vector<DocId> docs =
-      flushed.ok() ? std::move(*flushed) : std::vector<DocId>{};
-  bool found = flushed.ok();
-  // Buffered postings are strictly newer than anything flushed.
-  if (const std::vector<DocId>* buffered = memory_index_.Find(word)) {
-    DUPLEX_CHECK(docs.empty() || docs.back() < buffered->front());
-    docs.insert(docs.end(), buffered->begin(), buffered->end());
-    found = true;
-  }
-  if (!found) return Status::NotFound("word has no inverted list");
-  if (!deleted_.empty()) {
-    docs.erase(std::remove_if(docs.begin(), docs.end(),
-                              [&](DocId d) { return deleted_.contains(d); }),
-               docs.end());
-  }
+  if (!docs.ok() || deleted_.empty()) return docs;
+  docs->erase(std::remove_if(docs->begin(), docs->end(),
+                             [&](DocId d) { return deleted_.contains(d); }),
+              docs->end());
   return docs;
 }
 
@@ -321,19 +282,11 @@ Result<std::vector<DocId>> ShardedIndex::GetPostings(
 
 void ShardedIndex::ForEachWord(
     const std::function<void(WordId)>& fn) const {
-  std::shared_lock doc_lock(doc_mutex_);
   // Shards partition the word space, so their enumerations are disjoint;
   // one shard's shared lock is held at a time (never two).
   for (const auto& shard : shards_) {
     shard->WithRead(
         [&](const InvertedIndex& index) { index.ForEachWord(fn); });
-  }
-  // The index-wide document buffer may hold words the shards also have;
-  // emit only the ones the owning shard does not know yet.
-  for (const auto& [word, list] : memory_index_.lists()) {
-    const bool flushed = shards_[ShardFor(word)]->WithRead(
-        [&](const InvertedIndex& index) { return index.Locate(word).exists; });
-    if (!flushed) fn(word);
   }
 }
 
@@ -354,8 +307,8 @@ size_t ShardedIndex::deleted_count() const {
 
 Status ShardedIndex::SweepDeletions() {
   // Sweep only documents the shards already hold. A deleted document
-  // still buffered, or in a live batch not yet drained, reaches its
-  // shards after their sweep, so its deletion must outlive this one.
+  // still staged, or in a live batch not yet drained, reaches its shards
+  // after their sweep, so its deletion must outlive this one.
   std::unordered_set<DocId> swept;
   {
     std::shared_lock lock(doc_mutex_);

@@ -17,7 +17,6 @@
 #include "core/index_shard.h"
 #include "core/index_stats.h"
 #include "core/inverted_index.h"
-#include "core/memory_index.h"
 #include "storage/io_trace.h"
 #include "text/batch.h"
 #include "text/shard_partition.h"
@@ -73,15 +72,16 @@ IndexOptions ServingIndexOptions();
 // array, I/O trace — behind its own reader-writer lock) with the word
 // space hash-partitioned across them by text::ShardForWord; one shard is
 // the degenerate case. It is the only owner of the index-wide state —
-// the document buffer, the vocabulary and the deletion set — and the
-// IndexReader queries run against.
+// the staged documents, the vocabulary and the deletion set — and the
+// IndexReader over on-disk lists. It holds no searchable in-memory tier:
+// that is core::DeltaIndex, overlaid by core::LiveIndex.
 //
 // Concurrency model: a batch update is split into per-shard sub-batches
 // and applied under per-shard exclusive locks, in parallel on a fixed
 // worker pool; queries take only the owning shard's shared lock, so a
 // batch applying on shard 2 never blocks a query whose words live on
 // shard 0 — the paper's 24x7 motivation carried past a single global
-// lock. Document buffering (AddDocument), the vocabulary and the deletion
+// lock. Document staging (AddDocument), the vocabulary and the deletion
 // set sit above the shards behind a separate reader-writer lock, acquired
 // before any shard lock (fixed order, no deadlock); a DeleteDocument
 // takes only that lock, so it never waits for a batch apply.
@@ -122,18 +122,18 @@ class ShardedIndex : public IndexReader {
 
   // --- Document path ------------------------------------------------------
 
-  // Buffers a document in the index-wide memory index. Buffered documents
-  // are immediately searchable: queries merge the buffer with the shards,
-  // the paper's "searched simultaneously with the larger index".
-  // FlushDocuments inverts the buffer once, partitions by word, and
-  // applies per shard in parallel.
+  // Stages a document's text and returns the doc id it will carry. Staged
+  // documents are not searchable: FlushDocuments inverts them in one
+  // batch (text::BatchInverter, as BuildLiveBatch does), partitions by
+  // word and applies per shard in parallel. Visibility at the ack is
+  // LiveIndex::SubmitLive's job.
   DocId AddDocument(const std::string& text);
-  Status FlushDocuments();
-  // FlushDocuments under the WAL commit protocol (ApplyLogged): the
-  // inverted buffer, with its word strings, is the logged batch. `log` may
-  // be null (plain flush); `batch_id` (optional) receives the WAL batch
-  // id, 0 when nothing was logged.
-  Status FlushDocumentsLogged(BatchLog* log, uint64_t* batch_id = nullptr);
+  // Applies the staged documents as one batch. With `log`, under the WAL
+  // commit protocol (ApplyLogged), the inverted batch with its word
+  // strings being the logged record; `batch_id` (optional) receives its
+  // WAL id, 0 when nothing was logged. The staged texts stay staged if
+  // the batch fails before reaching the shards.
+  Status FlushDocuments(BatchLog* log = nullptr, uint64_t* batch_id = nullptr);
   size_t buffered_documents() const;
 
   // --- Write-ahead log (core::BatchLog) -----------------------------------
@@ -165,7 +165,7 @@ class ShardedIndex : public IndexReader {
   // --- Live-ingest path (used by core::LiveIndex) --------------------------
 
   // One live submit, inverted against the shared vocabulary with its doc
-  // ids assigned — but NOT buffered here: the caller (the delta tier)
+  // ids assigned — but NOT applied here: the caller (the delta tier)
   // owns visibility until the batch drains back in via
   // ApplyInvertedBatch. `words[i]` is the string of
   // `batch.entries[i].word`, so the delta can resolve string-keyed query
@@ -178,9 +178,9 @@ class ShardedIndex : public IndexReader {
   };
 
   // Tokenizes `documents`, assigns them the next doc ids, and returns the
-  // inverted batch. FailedPrecondition while AddDocument-buffered
-  // documents exist: the live and buffered ingest disciplines assign doc
-  // ids differently and must not interleave — flush the buffer first.
+  // inverted batch. FailedPrecondition while AddDocument-staged
+  // documents exist: AddDocument already promised them the next ids, so
+  // a live batch must wait for FlushDocuments.
   Result<LiveBatch> BuildLiveBatch(const std::vector<std::string>& documents);
 
   // --- Query access (the IndexReader surface; per-shard shared locks) -----
@@ -191,22 +191,24 @@ class ShardedIndex : public IndexReader {
   Result<std::vector<DocId>> GetPostings(
       std::string_view word) const override;
 
-  // Every word with a list on any shard or in the index-wide document
-  // buffer, each exactly once (shards partition the word space, so only
-  // buffered words need a containment check).
+  // Every word with a list on any shard, each exactly once (shards
+  // partition the word space).
   void ForEachWord(const std::function<void(WordId)>& fn) const override;
 
   // --- Deletion (paper Section 3 end) --------------------------------------
 
-  // Marks a document deleted; queries filter it immediately.
+  // Marks a document deleted; queries filter it immediately. The deletion
+  // is durable only once a checkpoint captures the deletion set: the WAL
+  // has no delete record, so recovery from an earlier checkpoint plus the
+  // WAL tail brings the document back.
   void DeleteDocument(DocId doc);
   bool IsDeleted(DocId doc) const;
   size_t deleted_count() const;
   // Background sweep: every shard rewrites its lists without the deleted
   // documents it holds, which then leave the deletion set. Requires
   // materialize. Batches must reach the shards in doc-id order (every
-  // ingest path does), so a deleted document not yet on the shards stays
-  // in the set for a later sweep.
+  // ingest path does), so a deleted document not yet on the shards (staged,
+  // or in an undrained live batch) stays in the set for a later sweep.
   Status SweepDeletions();
 
   // --- Maintenance ---------------------------------------------------------
@@ -305,13 +307,18 @@ class ShardedIndex : public IndexReader {
   // receives one past the largest doc id the batch holds (0 when empty).
   Status ApplyPartitioned(const text::InvertedBatch& batch, DocId* end_doc);
 
-  // ApplyLogged with doc_mutex_ already held exclusively. `*applied`
-  // turns true once the shards hold the batch, so the caller can account
-  // for it even if the flush or the commit record then fails.
-  Result<uint64_t> ApplyLoggedLocked(BatchLog* log,
-                                     const text::InvertedBatch& batch,
-                                     const std::vector<std::string>& words,
-                                     bool* applied);
+  // Inverts `documents` as the ones from next_doc_id_ on, without
+  // advancing it. Requires doc_mutex_ held exclusively.
+  LiveBatch InvertLocked(const std::vector<std::string>& documents);
+
+  // ApplyLogged with doc_mutex_ already held exclusively; a null `log`
+  // applies without logging or flushing caches. `*applied` turns true
+  // once the shards hold the batch, so the caller can account for it
+  // even if the flush or the commit record then fails.
+  Result<uint64_t> ApplyLocked(BatchLog* log,
+                               const text::InvertedBatch& batch,
+                               const std::vector<std::string>& words,
+                               bool* applied);
 
   // Reinstates the word strings a materialized batch record carried at
   // their recorded ids: a checkpoint image snapshots the vocabulary only
@@ -343,13 +350,15 @@ class ShardedIndex : public IndexReader {
   uint64_t compaction_rounds_done_ = 0;   // guarded by compaction_mutex_
   Status compaction_status_;              // guarded by compaction_mutex_
 
-  // Document-buffer state, locked before any shard lock.
+  // Document state, locked before any shard lock.
   mutable std::shared_mutex doc_mutex_;
   text::Vocabulary vocabulary_;
   text::Tokenizer tokenizer_;
-  MemoryIndex memory_index_{&tokenizer_, &vocabulary_};
+  // AddDocument texts awaiting FlushDocuments; the first holds doc id
+  // next_doc_id_.
+  std::vector<std::string> staged_;
   DocId next_doc_id_ = 0;
-  // One past the largest doc id the shards hold (documents buffered or in
+  // One past the largest doc id the shards hold (documents staged or in
   // an undrained live batch lie at or above it).
   DocId shard_doc_end_ = 0;
   std::unordered_set<DocId> deleted_;

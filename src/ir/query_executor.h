@@ -38,7 +38,7 @@ struct CostAccumulator {
 };
 
 // The one place queries are parsed, planned, and evaluated. An executor
-// wraps any core::IndexReader — ShardedIndex, MemoryIndex, or a
+// wraps any core::IndexReader — ShardedIndex, DeltaIndex, or a
 // MergingReader overlay — and is the only query entry point in ir/.
 // The executor borrows the reader (no ownership); it is cheap to
 // construct per query or keep around.

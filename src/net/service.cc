@@ -101,61 +101,36 @@ std::string BuildStatsJson(const core::IndexStats& stats) {
 
 Result<ir::QueryResult> ShardedIndexService::Boolean(
     std::string_view query) {
-  if (live_ != nullptr) {
-    // The view pins the delta tiers for the query's lifetime, so a
-    // racing drain can drop nothing this evaluation might read.
-    core::LiveIndex::ReadView view = live_->AcquireView();
-    return ir::QueryExecutor(view.reader()).EvaluateBoolean(query);
-  }
-  return ir::QueryExecutor(*index_).EvaluateBoolean(query);
+  // The view pins the delta tiers for the query's lifetime, so a racing
+  // drain can drop nothing this evaluation might read.
+  core::LiveIndex::ReadView view = live_.AcquireView();
+  return ir::QueryExecutor(view.reader()).EvaluateBoolean(query);
 }
 
 Result<ir::VectorQueryResult> ShardedIndexService::Vector(
     const ir::VectorQuery& query, size_t k) {
-  if (live_ != nullptr) {
-    core::LiveIndex::ReadView view = live_->AcquireView();
-    ir::QueryExecutor executor(view.reader());
-    return executor.EvaluateVector(query, k, view.reader().next_doc_id());
-  }
-  ir::QueryExecutor executor(*index_);
-  return executor.EvaluateVector(query, k, index_->next_doc_id());
+  core::LiveIndex::ReadView view = live_.AcquireView();
+  ir::QueryExecutor executor(view.reader());
+  return executor.EvaluateVector(query, k, view.reader().next_doc_id());
 }
 
 Result<SubmitDocumentsResponse> ShardedIndexService::Submit(
     const std::vector<std::string>& documents) {
-  if (live_ != nullptr) {
-    // The LiveIndex serializes this against live submits and the drain's
-    // epoch handoff — the service mutex alone cannot (the WAL is shared).
-    Result<core::LiveIndex::SubmitReceipt> receipt =
-        live_->SubmitBatch(documents);
-    if (!receipt.ok()) return receipt.status();
-    SubmitDocumentsResponse resp;
-    resp.first_doc = receipt->first_doc;
-    resp.accepted = receipt->accepted;
-    resp.wal_batch_id = receipt->wal_batch_id;
-    return resp;
-  }
-  std::lock_guard<std::mutex> lock(submit_mutex_);
+  Result<core::LiveIndex::SubmitReceipt> receipt =
+      live_.SubmitBatch(documents);
+  if (!receipt.ok()) return receipt.status();
   SubmitDocumentsResponse resp;
-  resp.first_doc = index_->AddDocument(documents.front());
-  for (size_t i = 1; i < documents.size(); ++i) {
-    index_->AddDocument(documents[i]);
-  }
-  resp.accepted = static_cast<uint32_t>(documents.size());
-  uint64_t batch_id = 0;
-  DUPLEX_RETURN_IF_ERROR(index_->FlushDocumentsLogged(wal_, &batch_id));
-  resp.wal_batch_id = batch_id;
+  resp.first_doc = receipt->first_doc;
+  resp.accepted = receipt->accepted;
+  resp.wal_batch_id = receipt->wal_batch_id;
   return resp;
 }
 
 Result<SubmitLiveResponse> ShardedIndexService::SubmitLive(
     const std::vector<std::string>& documents) {
-  if (live_ == nullptr) {
-    return Status::Unimplemented(
-        "live ingest not enabled on this server (--live-ingest)");
-  }
+  if (!live_ingest_) return IndexService::SubmitLive(documents);
   Result<core::LiveIndex::SubmitReceipt> receipt =
-      live_->SubmitLive(documents);
+      live_.SubmitLive(documents);
   if (!receipt.ok()) return receipt.status();
   SubmitLiveResponse resp;
   resp.first_doc = receipt->first_doc;
@@ -167,43 +142,7 @@ Result<SubmitLiveResponse> ShardedIndexService::SubmitLive(
 }
 
 std::string ShardedIndexService::StatsJson() {
-  return BuildStatsJson(index_->Stats());
-}
-
-ShardedIndexService::WalStatus ShardedIndexService::GetWalStatus() {
-  if (live_ != nullptr) {
-    const core::LiveIndex::WalStatus live = live_->GetWalStatus();
-    WalStatus status;
-    status.attached = live.attached;
-    status.tail_batches = live.tail_batches;
-    status.base_epoch = live.base_epoch;
-    status.next_id = live.next_id;
-    return status;
-  }
-  std::lock_guard<std::mutex> lock(submit_mutex_);
-  WalStatus status;
-  if (wal_ != nullptr) {
-    status.attached = true;
-    status.tail_batches = wal_->batches_logged();
-    status.base_epoch = wal_->base_epoch();
-    status.next_id = wal_->next_id();
-  }
-  return status;
-}
-
-Result<core::CheckpointInfo> ShardedIndexService::CheckpointNow(
-    core::Checkpointer* checkpointer) {
-  if (live_ != nullptr) return live_->CheckpointNow(checkpointer);
-  std::lock_guard<std::mutex> lock(submit_mutex_);
-  return checkpointer->Checkpoint(*index_, wal_);
-}
-
-Status ShardedIndexService::Flush() {
-  if (live_ != nullptr) return live_->Flush();
-  std::lock_guard<std::mutex> lock(submit_mutex_);
-  uint64_t batch_id = 0;
-  DUPLEX_RETURN_IF_ERROR(index_->FlushDocumentsLogged(wal_, &batch_id));
-  return index_->FlushCaches();
+  return BuildStatsJson(live_.index()->Stats());
 }
 
 }  // namespace duplex::net

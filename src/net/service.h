@@ -1,13 +1,12 @@
 #ifndef DUPLEX_NET_SERVICE_H_
 #define DUPLEX_NET_SERVICE_H_
 
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/batch_log.h"
-#include "core/checkpoint.h"
 #include "core/live_index.h"
 #include "core/sharded_index.h"
 #include "net/frame.h"
@@ -45,8 +44,8 @@ class IndexService {
   std::string HandleRequest(uint8_t opcode, std::string_view payload,
                             RequestCost* cost = nullptr);
 
-  // Shutdown hook: make everything the service accepted durable (flush
-  // buffered documents through the WAL, write back dirty cache frames).
+  // Shutdown hook: make everything the service accepted durable (drain
+  // the live delta through the WAL, write back dirty cache frames).
   virtual Status Flush() { return Status::OK(); }
 
  protected:
@@ -66,43 +65,31 @@ class IndexService {
   virtual std::string StatsJson() = 0;
 };
 
-// Service over the word-partitioned ShardedIndex: queries fan out under
-// per-shard shared locks (concurrent with each other and with updates on
-// other shards); submits serialize on one writer mutex and run the WAL
+// Service over the word-partitioned ShardedIndex, served through the
+// LiveIndex it owns: queries read the delta + disk overlay (the disk
+// index alone while the delta is empty) and fan out under per-shard
+// shared locks, concurrent with each other and with updates on other
+// shards. Batch submits go through LiveIndex::SubmitBatch — the WAL
 // commit protocol when a BatchLog is attached (append durable -> apply ->
 // flush caches -> commit). This is the backend duplexd runs.
 class ShardedIndexService : public IndexService {
  public:
-  // `wal` may be null (no durability logging); `live` may be null (no
-  // immediate-visibility tier — kSubmitLive answers Unimplemented). With
-  // a LiveIndex attached, EVERY request routes through it: queries read
-  // the delta + disk overlay, submits serialize on its locks (the WAL is
-  // shared with live appends, so the service's own mutex is not enough),
-  // and WAL/checkpoint accounting uses its quiesce protocol. All
-  // borrowed, not owned.
-  ShardedIndexService(core::ShardedIndex* index, core::BatchLog* wal,
-                      core::LiveIndex* live = nullptr)
-      : index_(index), wal_(wal), live_(live) {}
+  // `wal` may be null (no durability logging); both borrowed, not owned.
+  // `live_ingest` is duplexd's --live-ingest: with it, kSubmitLive
+  // documents enter the delta under these options; without it,
+  // kSubmitLive answers Unimplemented.
+  ShardedIndexService(
+      core::ShardedIndex* index, core::BatchLog* wal,
+      std::optional<core::LiveIndex::Options> live_ingest = std::nullopt)
+      : live_(index, wal, live_ingest.value_or(core::LiveIndex::Options())),
+        live_ingest_(live_ingest.has_value()) {}
 
-  Status Flush() override;
+  // Drains the delta and writes back dirty cache frames.
+  Status Flush() override { return live_.Flush(); }
 
-  // Point-in-time WAL accounting for /statusz, read under the same mutex
-  // that serializes submits — BatchLog itself is not synchronized, so
-  // this is the only safe way to observe it while the service is live.
-  struct WalStatus {
-    bool attached = false;      // false = no WAL configured
-    uint64_t tail_batches = 0;  // records currently in the log
-    uint64_t base_epoch = 0;    // oldest id still in the log
-    uint64_t next_id = 0;       // id the next submit's batch will get
-  };
-  WalStatus GetWalStatus();
-
-  // Runs a checkpoint with submits excluded: the WAL cannot grow (or be
-  // truncated under a concurrent append) while the image is cut. This is
-  // the ONLY safe way to checkpoint a live service — calling
-  // Checkpointer::Checkpoint directly races the submit path on the
-  // BatchLog.
-  Result<core::CheckpointInfo> CheckpointNow(core::Checkpointer* checkpointer);
+  // The one ingest and checkpoint coordinator over the index: checkpoints,
+  // WAL accounting and the drainer go through it.
+  core::LiveIndex& live() { return live_; }
 
  protected:
   Result<ir::QueryResult> Boolean(std::string_view query) override;
@@ -115,10 +102,8 @@ class ShardedIndexService : public IndexService {
   std::string StatsJson() override;
 
  private:
-  core::ShardedIndex* index_;
-  core::BatchLog* wal_;
-  core::LiveIndex* live_;
-  std::mutex submit_mutex_;
+  core::LiveIndex live_;
+  const bool live_ingest_;
 };
 
 }  // namespace duplex::net

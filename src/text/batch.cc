@@ -1,7 +1,7 @@
 #include "text/batch.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 #include <ostream>
 #include <sstream>
 
@@ -52,7 +52,9 @@ InvertedBatch BatchInverter::Invert(const std::vector<std::string>& documents,
                                     DocId* next_doc_id) const {
   DUPLEX_CHECK(vocabulary_ != nullptr);
   DUPLEX_CHECK(next_doc_id != nullptr);
-  std::map<WordId, std::vector<DocId>> lists;
+  // Hashed while building, sorted once at the end: cheaper than an
+  // ordered map's per-token node walk on a batch of many documents.
+  std::unordered_map<WordId, std::vector<DocId>> lists;
   for (const std::string& doc : documents) {
     const DocId doc_id = (*next_doc_id)++;
     for (const std::string& word : tokenizer_.Tokenize(doc)) {
@@ -64,6 +66,10 @@ InvertedBatch BatchInverter::Invert(const std::vector<std::string>& documents,
   for (auto& [word, docs] : lists) {
     batch.entries.push_back({word, std::move(docs)});
   }
+  std::sort(batch.entries.begin(), batch.entries.end(),
+            [](const InvertedBatch::Entry& a, const InvertedBatch::Entry& b) {
+              return a.word < b.word;
+            });
   return batch;
 }
 

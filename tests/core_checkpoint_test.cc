@@ -253,6 +253,47 @@ TEST_F(CheckpointTest, DocumentPathSurvivesWithVocabulary) {
   EXPECT_TRUE(recovered.IsDeleted(1));
 }
 
+// What a delete promises: the WAL has no delete record, so a deletion is
+// durable only once a checkpoint captures the deletion set. Recovery from
+// an older checkpoint plus the WAL tail brings the document back.
+TEST_F(CheckpointTest, DeleteIsDurableOnlyOnceACheckpointHoldsIt) {
+  const auto recover_fox = [&] {
+    ShardedIndex recovered(ShardedOptions());
+    std::unique_ptr<BatchLog> reopened = OpenLog();
+    Result<RecoveryInfo> rec =
+        MakeCheckpointer().Recover(&recovered, reopened.get());
+    EXPECT_TRUE(rec.ok()) << rec.status();
+    EXPECT_EQ(rec->mode, RecoveryMode::kCheckpointTail);
+    Result<std::vector<DocId>> fox = recovered.GetPostings("fox");
+    EXPECT_TRUE(fox.ok()) << fox.status();
+    return fox.ok() ? *fox : std::vector<DocId>{};
+  };
+  {
+    std::unique_ptr<BatchLog> log = OpenLog();
+    ShardedIndex index(ShardedOptions());
+    index.AddDocument("the quick brown fox");
+    index.AddDocument("a lazy fox");
+    ASSERT_TRUE(index.FlushDocuments(log.get()).ok());
+    ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log.get()).ok());
+    index.AddDocument("a third fox");
+    ASSERT_TRUE(index.FlushDocuments(log.get()).ok());
+    index.DeleteDocument(1);
+    EXPECT_EQ(*index.GetPostings("fox"), (std::vector<DocId>{0, 2}));
+  }
+  // Last checkpoint + WAL tail: the delete came after the checkpoint and
+  // the log never saw it, so document 1 is back.
+  EXPECT_EQ(recover_fox(), (std::vector<DocId>{0, 1, 2}));
+  {
+    std::unique_ptr<BatchLog> log = OpenLog();
+    ShardedIndex index(ShardedOptions());
+    ASSERT_TRUE(MakeCheckpointer().Recover(&index, log.get()).ok());
+    index.DeleteDocument(1);
+    ASSERT_TRUE(MakeCheckpointer().Checkpoint(index, log.get()).ok());
+  }
+  // Delete, checkpoint, recover: it stays deleted.
+  EXPECT_EQ(recover_fox(), (std::vector<DocId>{0, 2}));
+}
+
 TEST_F(CheckpointTest, CompactionTotalsSurviveRecovery) {
   ShardedIndexOptions options = ShardedOptions();
   options.shard.policy = Policy::NewZ(AllocStrategy::kProportional, 2);
@@ -544,7 +585,7 @@ TEST_F(CheckpointTest, ShardedDocumentPathSurvives) {
   ShardedIndex index(ShardedOptions());
   index.AddDocument("alpha beta gamma");
   index.AddDocument("beta delta epsilon");
-  ASSERT_TRUE(index.FlushDocumentsLogged(log.get()).ok());
+  ASSERT_TRUE(index.FlushDocuments(log.get()).ok());
   index.DeleteDocument(0);
 
   Checkpointer checkpointer = MakeCheckpointer();

@@ -322,14 +322,14 @@ TEST_F(LiveIndexTest, LiveSubmitRefusedWhileDocumentsAreBuffered) {
   ShardedIndex index(SmallOptions());
   LiveIndex live(&index, wal_.get());
 
-  // The classic buffered path and the live path assign doc ids under
-  // different disciplines; interleaving them is a typed refusal, not a
-  // silent reordering.
+  // AddDocument already promised the staged document the next doc id, so
+  // a live batch before the flush is a typed refusal, not a silent
+  // reordering.
   index.AddDocument("buffered but unflushed");
   Result<LiveIndex::SubmitReceipt> receipt = live.SubmitLive({"live doc"});
   ASSERT_FALSE(receipt.ok());
   EXPECT_TRUE(receipt.status().IsFailedPrecondition()) << receipt.status();
-  ASSERT_TRUE(index.FlushDocumentsLogged(wal_.get()).ok());
+  ASSERT_TRUE(index.FlushDocuments(wal_.get()).ok());
   EXPECT_TRUE(live.SubmitLive({"live doc"}).ok());
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/inverted_index.h"
-#include "core/memory_index.h"
+#include "core/delta_index.h"
 #include "core/sharded_index.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
@@ -28,14 +28,25 @@ TEST(MergeDocListsTest, DedupsAndMergesAscending) {
 // Two in-memory delta tiers over one shared vocabulary.
 class MergingReaderTest : public ::testing::Test {
  protected:
-  MergingReaderTest()
-      : a_(&tokenizer_, &vocabulary_), b_(&tokenizer_, &vocabulary_) {
-    a_.AddDocument(0, "alpha beta gamma");
-    a_.AddDocument(1, "alpha beta");
-    b_.AddDocument(5, "alpha delta");
-    b_.AddDocument(6, "beta");
+  MergingReaderTest() {
+    Insert(a_, 0, {"alpha beta gamma", "alpha beta"});
+    Insert(b_, 5, {"alpha delta", "beta"});
     merged_ = std::make_unique<MergingReader>(
         std::vector<const IndexReader*>{&a_, &b_});
+  }
+
+  // Inverts `texts` from doc `first` and inserts them as one live batch.
+  void Insert(DeltaIndex& tier, DocId first,
+              const std::vector<std::string>& texts) {
+    DocId next = first;
+    const text::InvertedBatch batch =
+        text::BatchInverter(tokenizer_, &vocabulary_).Invert(texts, &next);
+    std::vector<std::string> words;
+    for (const text::InvertedBatch::Entry& entry : batch.entries) {
+      words.push_back(vocabulary_.WordFor(entry.word));
+    }
+    tier.Insert(batch, words, first, static_cast<uint32_t>(texts.size()),
+                /*logged=*/false, 0);
   }
 
   WordId Id(std::string_view word) const {
@@ -44,8 +55,8 @@ class MergingReaderTest : public ::testing::Test {
 
   text::Tokenizer tokenizer_;
   text::Vocabulary vocabulary_;
-  MemoryIndex a_;
-  MemoryIndex b_;
+  DeltaIndex a_{1};
+  DeltaIndex b_{2};
   std::unique_ptr<MergingReader> merged_;
 };
 

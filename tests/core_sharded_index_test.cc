@@ -185,10 +185,11 @@ TEST(ShardedIndexTest, DocumentPathBuffersAndFlushes) {
   EXPECT_EQ(d0, 0u);
   EXPECT_EQ(d1, 1u);
   EXPECT_EQ(index.buffered_documents(), 2u);
-  // Buffered documents are searchable before the flush.
-  Result<std::vector<DocId>> pre = index.GetPostings("alpha");
-  ASSERT_TRUE(pre.ok());
-  EXPECT_EQ(*pre, (std::vector<DocId>{0, 1}));
+  // Staged documents are not searchable before the flush (immediate
+  // visibility is LiveIndex::SubmitLive's), and take no doc id yet.
+  EXPECT_TRUE(index.GetPostings("alpha").status().IsNotFound());
+  EXPECT_FALSE(index.Locate("delta").exists);
+  EXPECT_EQ(index.next_doc_id(), 0u);
   ASSERT_TRUE(index.FlushDocuments().ok());
   EXPECT_EQ(index.buffered_documents(), 0u);
   Result<std::vector<DocId>> post = index.GetPostings("alpha");

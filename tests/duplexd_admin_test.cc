@@ -193,6 +193,9 @@ TEST_F(DuplexdAdminTest, ServesAllEndpointsWhileRunning) {
       << statusz->body;
   EXPECT_NE(statusz->body.find("\"shards\": 2"), std::string::npos);
   EXPECT_NE(statusz->body.find("\"queue\""), std::string::npos);
+  // No --live-ingest: the delta tier is not reported.
+  EXPECT_NE(statusz->body.find("\"delta\": null"), std::string::npos)
+      << statusz->body;
 
   Result<net::HttpResponse> slowz =
       net::HttpGet("127.0.0.1", admin_port, "/slowz");

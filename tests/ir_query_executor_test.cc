@@ -5,11 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "core/memory_index.h"
+#include "core/delta_index.h"
 #include "core/merging_reader.h"
 #include "core/sharded_index.h"
-#include "text/tokenizer.h"
-#include "text/vocabulary.h"
 #include "util/random.h"
 
 namespace duplex::ir {
@@ -17,7 +15,7 @@ namespace {
 
 // Backend equivalence: the same seeded document stream indexed three ways
 // — a one-shard ShardedIndex, a four-shard ShardedIndex, and a
-// MergingReader overlaying a MemoryIndex delta on a one-shard base —
+// MergingReader overlaying a DeltaIndex on a one-shard base —
 // must answer an identical boolean + vector workload with bit-identical
 // doc lists. Boolean and vector queries over the same term sequence must
 // also report identical costs: both paths charge through the one
@@ -62,7 +60,7 @@ class QueryExecutorTest : public ::testing::Test {
       : full_(core::ShardedIndexOptions::Partition(Options(), 1)),
         sharded_(core::ShardedIndexOptions::Partition(Options(), 4)),
         base_(core::ShardedIndexOptions::Partition(Options(), 1)),
-        delta_(&tokenizer_, &delta_vocabulary_) {
+        delta_(1) {
     Rng rng(13);
     std::vector<std::string> batch1;
     std::vector<std::string> batch2;
@@ -79,12 +77,14 @@ class QueryExecutorTest : public ::testing::Test {
     EXPECT_TRUE(base_.FlushDocuments().ok());
     // The second batch reaches `full_` and `sharded_` on disk, but stays a
     // pure in-memory delta in front of `base_`.
-    DocId next = base_.next_doc_id();
     for (const std::string& doc : batch2) {
       full_.AddDocument(doc);
       sharded_.AddDocument(doc);
-      delta_.AddDocument(next++, doc);
     }
+    Result<core::ShardedIndex::LiveBatch> live = base_.BuildLiveBatch(batch2);
+    EXPECT_TRUE(live.ok());
+    delta_.Insert(live->batch, live->words, live->first_doc, live->documents,
+                  /*logged=*/false, 0);
     EXPECT_TRUE(full_.FlushDocuments().ok());
     EXPECT_TRUE(sharded_.FlushDocuments().ok());
     merged_ = std::make_unique<core::MergingReader>(
@@ -95,13 +95,10 @@ class QueryExecutorTest : public ::testing::Test {
     return {&full_, &sharded_, merged_.get()};
   }
 
-  text::Tokenizer tokenizer_;
-  // The delta's own word ids: every query resolves terms by string.
-  text::Vocabulary delta_vocabulary_;
   core::ShardedIndex full_;
   core::ShardedIndex sharded_;
   core::ShardedIndex base_;
-  core::MemoryIndex delta_;
+  core::DeltaIndex delta_;
   std::unique_ptr<core::MergingReader> merged_;
 };
 

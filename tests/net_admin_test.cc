@@ -225,7 +225,7 @@ class InstrumentedFixture {
     index_.AddDocument("incremental updates of inverted lists");
     index_.AddDocument("text document retrieval with inverted files");
     index_.AddDocument("dual structure index for incremental text updates");
-    Status flushed = index_.FlushDocumentsLogged(nullptr);
+    Status flushed = index_.FlushDocuments(nullptr);
     EXPECT_TRUE(flushed.ok()) << flushed;
     server_ = std::make_unique<Server>(&service_, options);
     EXPECT_TRUE(server_->Start().ok());

@@ -7,6 +7,8 @@
 // deadline shedding) and Start/Stop lifecycle idempotency.
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -67,7 +69,7 @@ class ServerFixture {
     index_.AddDocument("text document retrieval with inverted files");
     index_.AddDocument("dual structure index for incremental text updates");
     index_.AddDocument("unrelated words entirely about something else");
-    Status flushed = index_.FlushDocumentsLogged(wal);
+    Status flushed = index_.FlushDocuments(wal);
     EXPECT_TRUE(flushed.ok()) << flushed;
     server_ = std::make_unique<Server>(&service_, options);
     Status started = server_->Start();
@@ -197,6 +199,96 @@ TEST(NetServerTest, SubmitReturnsWalBatchId) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_GT(first->wal_batch_id, 0u);
   EXPECT_GT(second->wal_batch_id, first->wal_batch_id);
+}
+
+// The WAL bytes a batch submit writes, recorded once: two kSubmitDocuments
+// batches (the second with a document that has no words, which still
+// takes a doc id) through the service with a log attached. A refactor of
+// the submit path must leave every byte of the log as it was.
+constexpr unsigned char kGoldenSubmitWal[] = {
+    0x42, 0x6b, 0x00, 0x03, 0x0a, 0x00, 0x01, 0x00, 0x01, 0x02, 0x00, 0x01,
+    0x02, 0x01, 0x00, 0x03, 0x01, 0x00, 0x04, 0x01, 0x00, 0x05, 0x01, 0x01,
+    0x06, 0x01, 0x01, 0x07, 0x01, 0x01, 0x08, 0x01, 0x01, 0x09, 0x01, 0x01,
+    0x0b, 0x69, 0x6e, 0x63, 0x72, 0x65, 0x6d, 0x65, 0x6e, 0x74, 0x61, 0x6c,
+    0x08, 0x69, 0x6e, 0x76, 0x65, 0x72, 0x74, 0x65, 0x64, 0x05, 0x6c, 0x69,
+    0x73, 0x74, 0x73, 0x02, 0x6f, 0x66, 0x07, 0x75, 0x70, 0x64, 0x61, 0x74,
+    0x65, 0x73, 0x08, 0x64, 0x6f, 0x63, 0x75, 0x6d, 0x65, 0x6e, 0x74, 0x05,
+    0x66, 0x69, 0x6c, 0x65, 0x73, 0x09, 0x72, 0x65, 0x74, 0x72, 0x69, 0x65,
+    0x76, 0x61, 0x6c, 0x04, 0x74, 0x65, 0x78, 0x74, 0x04, 0x77, 0x69, 0x74,
+    0x68, 0xb9, 0xb5, 0xa8, 0x5d, 0xa2, 0xb8, 0x2f, 0xde, 0x41, 0x01, 0x00,
+    0x04, 0x57, 0xa1, 0xb5, 0x07, 0xa2, 0x08, 0x09, 0x42, 0x4a, 0x01, 0x03,
+    0x08, 0x02, 0x01, 0x04, 0x03, 0x01, 0x04, 0x04, 0x01, 0x04, 0x08, 0x01,
+    0x02, 0x0a, 0x01, 0x02, 0x0b, 0x01, 0x02, 0x0c, 0x01, 0x02, 0x0d, 0x01,
+    0x02, 0x05, 0x6c, 0x69, 0x73, 0x74, 0x73, 0x02, 0x6f, 0x66, 0x07, 0x75,
+    0x70, 0x64, 0x61, 0x74, 0x65, 0x73, 0x04, 0x74, 0x65, 0x78, 0x74, 0x04,
+    0x64, 0x75, 0x61, 0x6c, 0x03, 0x66, 0x6f, 0x72, 0x05, 0x69, 0x6e, 0x64,
+    0x65, 0x78, 0x09, 0x73, 0x74, 0x72, 0x75, 0x63, 0x74, 0x75, 0x72, 0x65,
+    0xa6, 0xc9, 0x41, 0x61, 0x54, 0x37, 0x61, 0x72, 0x41, 0x01, 0x01, 0xb7,
+    0x58, 0xa1, 0xb5, 0x07, 0xa3, 0x08, 0x09,
+};
+
+TEST(NetServiceTest, BatchSubmitWritesGoldenWalBytes) {
+  const std::string wal_path =
+      ::testing::TempDir() + "/duplex_golden_submit.wal";
+  std::remove(wal_path.c_str());
+  {
+    core::ShardedIndex index(SmallOptions(2));
+    Result<std::unique_ptr<core::BatchLog>> wal =
+        core::BatchLog::Open(wal_path);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ShardedIndexService service(&index, wal->get());
+    const std::vector<std::vector<std::string>> batches = {
+        {"incremental updates of inverted lists",
+         "text document retrieval with inverted files"},
+        {"dual structure index for text", "", "updates of lists"},
+    };
+    for (const std::vector<std::string>& documents : batches) {
+      RequestCost cost;
+      const std::string response = service.HandleRequest(
+          static_cast<uint8_t>(Opcode::kSubmitDocuments),
+          EncodeSubmitDocumentsRequest({documents}), &cost);
+      ASSERT_EQ(cost.status_code, 0) << response;
+    }
+  }
+  std::ifstream in(wal_path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, std::string(reinterpret_cast<const char*>(kGoldenSubmitWal),
+                               sizeof(kGoldenSubmitWal)));
+  std::remove(wal_path.c_str());
+}
+
+// duplexd's --live-ingest on the wire: without it the service answers
+// kSubmitLive with typed Unimplemented and the index stays untouched;
+// with it the same request is accepted and its document is searchable at
+// the ack.
+TEST(NetServiceTest, SubmitLiveAnswersOnlyWithLiveIngest) {
+  const std::string request = EncodeSubmitLiveRequest({{"a live zebra"}});
+  const auto submit_live = [&](IndexService& service) {
+    RequestCost cost;
+    service.HandleRequest(static_cast<uint8_t>(Opcode::kSubmitLive), request,
+                          &cost);
+    return static_cast<StatusCode>(cost.status_code);
+  };
+  {
+    core::ShardedIndex index(SmallOptions(2));
+    ShardedIndexService service(&index, nullptr);
+    EXPECT_EQ(submit_live(service), StatusCode::kUnimplemented);
+    EXPECT_EQ(index.next_doc_id(), 0u);
+  }
+  {
+    core::ShardedIndex index(SmallOptions(2));
+    ShardedIndexService service(&index, nullptr, core::LiveIndex::Options());
+    EXPECT_EQ(submit_live(service), StatusCode::kOk);
+    RequestCost cost;
+    const std::string response = service.HandleRequest(
+        static_cast<uint8_t>(Opcode::kBooleanQuery),
+        EncodeBooleanQueryRequest({"zebra"}), &cost);
+    ASSERT_EQ(cost.status_code, 0);
+    Result<BooleanQueryResponse> found = DecodeBooleanQueryResponse(response);
+    ASSERT_TRUE(found.ok()) << found.status();
+    EXPECT_EQ(found->result.docs, (std::vector<DocId>{0}));
+  }
 }
 
 TEST(NetServerTest, EmptySubmitIsTypedError) {

@@ -308,7 +308,7 @@ TEST(ObservedComponentsTest, FlushDocumentsLoggedTimesPartitionAndEveryShard) {
     for (uint64_t f = 0; f < kFlushes; ++f) {
       index.AddDocument("alpha beta gamma delta");
       index.AddDocument("epsilon zeta eta theta");
-      ASSERT_TRUE(index.FlushDocumentsLogged(log->get()).ok());
+      ASSERT_TRUE(index.FlushDocuments(log->get()).ok());
     }
     EXPECT_EQ((*log)->batches_applied(), kFlushes);
     std::remove(wal_path.c_str());

@@ -12,19 +12,21 @@
 //           [--live-ingest] [--drain-interval-ms MS] [--delta-cap-docs N]
 //           [--log-level LEVEL] [file-or-dir]...
 //
-// --live-ingest attaches the immediate-visibility tier (core::LiveIndex):
-// kSubmitLive documents are durable + queryable at the ack, queries read
-// the delta + disk overlay, and a background drainer batches deltas into
-// the shards every --drain-interval-ms. --delta-cap-docs bounds the
-// undrained memtable; past it, live submits answer typed BUSY
-// (kResourceExhausted) that clients retry with backoff.
+// Every request goes through one core::LiveIndex: batch submits apply
+// through its WAL commit path, and queries read its delta + disk overlay
+// (the disk index alone while the delta is empty). --live-ingest accepts
+// kSubmitLive: those documents are durable + queryable at the ack, and a
+// background drainer batches the delta into the shards every
+// --drain-interval-ms. Without it, kSubmitLive answers Unimplemented.
+// --delta-cap-docs bounds the undrained memtable; past it, live submits
+// answer typed BUSY (kResourceExhausted) that clients retry with backoff.
 //
 // Input files are indexed before the listener opens. --port 0 (default)
 // binds an ephemeral port; the chosen port is printed as
 // "duplexd listening on port N" (stdout, flushed) for scripts to parse.
 // SIGINT/SIGTERM shut down cleanly: stop accepting, drain admitted
-// requests, stop background compaction, flush buffered documents through
-// the WAL, exit 0.
+// requests, stop background compaction, drain the delta through the WAL,
+// exit 0.
 //
 // With --wal the index is recovered at startup; with --checkpoint too,
 // recovery goes through core::Checkpointer (last durable checkpoint +
@@ -47,6 +49,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,7 +97,9 @@ struct DaemonFlags {
   std::vector<std::string> inputs;
 };
 
-int IndexInputs(core::ShardedIndex& index, core::BatchLog* wal,
+// Startup inputs take the same path as a kSubmitDocuments batch: one
+// logged batch per 64 files.
+int IndexInputs(core::LiveIndex& live,
                 const std::vector<std::string>& inputs) {
   std::vector<fs::path> files;
   for (const std::string& input : inputs) {
@@ -111,6 +116,17 @@ int IndexInputs(core::ShardedIndex& index, core::BatchLog* wal,
   }
   std::sort(files.begin(), files.end());
   size_t indexed = 0;
+  std::vector<std::string> batch;
+  const auto submit = [&] {
+    if (batch.empty()) return true;
+    Result<core::LiveIndex::SubmitReceipt> done = live.SubmitBatch(batch);
+    if (!done.ok()) {
+      std::cerr << "flush failed: " << done.status() << "\n";
+      return false;
+    }
+    batch.clear();
+    return true;
+  };
   for (const fs::path& file : files) {
     std::ifstream in(file);
     if (!in) {
@@ -119,19 +135,11 @@ int IndexInputs(core::ShardedIndex& index, core::BatchLog* wal,
     }
     std::ostringstream text;
     text << in.rdbuf();
-    index.AddDocument(text.str());
+    batch.push_back(text.str());
     ++indexed;
-    if (index.buffered_documents() >= 64) {
-      if (Status s = index.FlushDocumentsLogged(wal); !s.ok()) {
-        std::cerr << "flush failed: " << s << "\n";
-        return 1;
-      }
-    }
+    if (batch.size() >= 64 && !submit()) return 1;
   }
-  if (Status s = index.FlushDocumentsLogged(wal); !s.ok()) {
-    std::cerr << "flush failed: " << s << "\n";
-    return 1;
-  }
+  if (!submit()) return 1;
   if (indexed > 0) {
     std::cerr << "indexed " << indexed << " documents at startup\n";
   }
@@ -142,8 +150,9 @@ int IndexInputs(core::ShardedIndex& index, core::BatchLog* wal,
 // data plane. `serving` gates the index/WAL reads — before the request
 // listener is up, recovery is still mutating both from the main thread,
 // so the admin plane reports only lifecycle data until then. Once
-// serving, WAL state is read under the submit mutex (GetWalStatus) and
-// checkpoint state from the daemon's atomics.
+// serving, WAL state is read under the LiveIndex's locks (GetWalStatus)
+// and checkpoint state from the daemon's atomics. `delta` is null without
+// --live-ingest.
 struct StatusState {
   uint64_t start_ns = 0;
   uint32_t shards = 0;
@@ -154,9 +163,8 @@ struct StatusState {
 };
 
 std::string BuildStatusz(const StatusState& state, net::Readiness& readiness,
-                         core::ShardedIndex& index,
-                         net::ShardedIndexService& service,
-                         net::Server& server, core::LiveIndex* live) {
+                         core::LiveIndex& live, net::Server& server,
+                         bool live_ingest) {
   const uint64_t now_ns = MonotonicNanos();
   std::ostringstream os;
   os << "{\n";
@@ -174,18 +182,19 @@ std::string BuildStatusz(const StatusState& state, net::Readiness& readiness,
   os << "  \"slow_queries\": " << server.slow_queries().total_recorded()
      << ",\n";
   if (serving) {
-    const net::ShardedIndexService::WalStatus wal = service.GetWalStatus();
+    const core::LiveIndex::WalStatus wal = live.GetWalStatus();
     os << "  \"wal\": {\"attached\": " << (wal.attached ? "true" : "false")
        << ", \"tail_batches\": " << wal.tail_batches
        << ", \"base_epoch\": " << wal.base_epoch
        << ", \"next_id\": " << wal.next_id << "},\n";
-    const core::CompactionStats compaction = index.compaction_totals();
+    const core::CompactionStats compaction =
+        live.index()->compaction_totals();
     os << "  \"compaction\": {\"rounds\": " << compaction.rounds
        << ", \"lists_compacted\": " << compaction.lists_compacted
        << ", \"postings_rewritten\": " << compaction.postings_rewritten
        << "},\n";
-    if (live != nullptr) {
-      const core::LiveIndex::DeltaStatus delta = live->GetDeltaStatus();
+    if (live_ingest) {
+      const core::LiveIndex::DeltaStatus delta = live.GetDeltaStatus();
       os << "  \"delta\": {\"epoch\": " << delta.epoch
          << ", \"active_docs\": " << delta.active_docs
          << ", \"draining_docs\": " << delta.draining_docs
@@ -255,20 +264,18 @@ int Run(const DaemonFlags& flags) {
     wal = std::move(*opened);
   }
 
-  // The live tier is constructed up front (the doc-id counter lives in
-  // the ShardedIndex, so an idle LiveIndex is inert during recovery);
-  // its drainer starts only once the daemon serves.
-  std::unique_ptr<core::LiveIndex> live;
+  // The service's LiveIndex is constructed up front (the doc-id counter
+  // lives in the ShardedIndex, so an idle LiveIndex is inert during
+  // recovery); its drainer starts only once the daemon serves.
+  std::optional<core::LiveIndex::Options> live_ingest;
   if (flags.live_ingest) {
-    core::LiveIndex::Options live_options;
-    live_options.delta_cap_docs = flags.delta_cap_docs;
-    live_options.drain_interval =
+    live_ingest.emplace();
+    live_ingest->delta_cap_docs = flags.delta_cap_docs;
+    live_ingest->drain_interval =
         std::chrono::milliseconds(flags.drain_interval_ms);
-    live = std::make_unique<core::LiveIndex>(&index, wal.get(),
-                                             live_options);
   }
-
-  net::ShardedIndexService service(&index, wal.get(), live.get());
+  net::ShardedIndexService service(&index, wal.get(), live_ingest);
+  core::LiveIndex& live = service.live();
   net::ServerOptions options;
   options.port = flags.port;
   options.num_workers = flags.workers;
@@ -286,8 +293,8 @@ int Run(const DaemonFlags& flags) {
   admin_options.readiness = &readiness;
   admin_options.slow_log = &server.slow_queries();
   admin_options.statusz = [&] {
-    return BuildStatusz(status_state, readiness, index, service, server,
-                        live.get());
+    return BuildStatusz(status_state, readiness, live, server,
+                        flags.live_ingest);
   };
   net::AdminServer admin(admin_options);
   // Catch shutdown signals before anything is externally reachable: once
@@ -353,7 +360,7 @@ int Run(const DaemonFlags& flags) {
   }
 
   readiness.SetStage("indexing startup inputs");
-  if (int rc = IndexInputs(index, wal.get(), flags.inputs); rc != 0) {
+  if (int rc = IndexInputs(live, flags.inputs); rc != 0) {
     return rc;
   }
 
@@ -368,8 +375,8 @@ int Run(const DaemonFlags& flags) {
     return 1;
   }
   status_state.serving.store(true, std::memory_order_release);
-  if (live != nullptr) {
-    live->StartDrainer();
+  if (flags.live_ingest) {
+    live.StartDrainer();
     LogInfo("duplexd.live_ingest")
         .U64("drain_interval_ms", flags.drain_interval_ms)
         .U64("delta_cap_docs", flags.delta_cap_docs);
@@ -384,7 +391,7 @@ int Run(const DaemonFlags& flags) {
 
   // Periodic background checkpointing: each round trims the WAL to the
   // tail, keeping restart cost flat no matter how long the daemon runs.
-  // Checkpoints go through the service so they exclude concurrent
+  // Checkpoints go through the LiveIndex so they exclude concurrent
   // submits — the BatchLog itself is unsynchronized.
   std::atomic<bool> checkpoint_stop{false};
   std::thread checkpoint_thread;
@@ -398,7 +405,7 @@ int Run(const DaemonFlags& flags) {
         if (std::chrono::steady_clock::now() < next_round) continue;
         next_round = std::chrono::steady_clock::now() + interval;
         Result<core::CheckpointInfo> done =
-            service.CheckpointNow(checkpointer.get());
+            live.CheckpointNow(checkpointer.get());
         if (!done.ok()) {
           LogError("duplexd.checkpoint_failed")
               .Str("error", done.status().message());
@@ -441,7 +448,7 @@ int Run(const DaemonFlags& flags) {
   }
   server.Stop();
   index.StopBackgroundCompaction();
-  if (live != nullptr) live->StopDrainer();
+  live.StopDrainer();
   checkpoint_stop.store(true);
   if (checkpoint_thread.joinable()) checkpoint_thread.join();
   if (Status s = service.Flush(); !s.ok()) {
@@ -453,7 +460,7 @@ int Run(const DaemonFlags& flags) {
   // nothing.
   if (checkpointer != nullptr) {
     Result<core::CheckpointInfo> done =
-        service.CheckpointNow(checkpointer.get());
+        live.CheckpointNow(checkpointer.get());
     if (!done.ok()) {
       std::cerr << "shutdown checkpoint failed: " << done.status() << "\n";
     } else {
